@@ -44,6 +44,7 @@ from .errors import (
     EmptySchedule,
     IncompatibleLength,
     InfeasibleReference,
+    InvariantViolation,
     MonotonicityViolation,
     OptimizationFailed,
     ScheduleExhausted,
@@ -91,6 +92,7 @@ __all__ = [
     "EmptySchedule",
     "IncompatibleLength",
     "InfeasibleReference",
+    "InvariantViolation",
     "LemmaCheck",
     "MonotonicityViolation",
     "OptimizationFailed",

@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -264,29 +263,21 @@ def _sweep_cell(args, N: int, h: float | None, shared_random) -> dict:
 
     key = args.instance
     normalized = abs(args.B - 1.0) <= 1e-15 and abs(args.R - 1.0) <= 1e-15
-    if key == "worstcase":
-        if method in ("optimal", "optimal-length") or h is None:
-            p = worstcase.abs_instance(args.B, args.R)
-        else:
-            knee = 1.0 / s(1.0, N + 1) ** 2
-            if h <= knee:
-                p = worstcase.abs_instance(args.B, args.R)
-            else:
-                p = worstcase.long_step_instance(N, h, scripted=(method == "constant"))
-                if not normalized:
-                    p = scale_instance(p, args.B, args.R)
-    elif key == "abs":
+    build = key
+    if key == "worstcase":  # the tight construction for the cell's regime
+        build = "longstep" if h is not None and h > 1.0 / s(1.0, N + 1) ** 2 else "abs"
+    if build == "abs":
         p = worstcase.abs_instance(args.B, args.R)
-    elif key == "longstep":
+    elif build == "longstep":
         if h is None:
             raise CliError("--instance longstep needs an h grid")
         p = worstcase.long_step_instance(N, h, scripted=(method == "constant"))
-        if not normalized:
-            p = scale_instance(p, args.B, args.R)
-    elif key == "random":
-        p = shared_random if normalized else scale_instance(shared_random, args.B, args.R)
+    elif build == "random":
+        p = shared_random
     else:
         raise CliError(f"--instance {key} cannot be swept")
+    if build != "abs" and not normalized:
+        p = scale_instance(p, args.B, args.R)
 
     return _cell_row(
         method, N, h, key, args.seed, p, schedule, include_log_bound=True
@@ -319,6 +310,8 @@ def _cmd_sweep(args) -> int:
         return _sweep_cell(args, N, h, shared_random)
 
     if args.parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             rows = list(pool.map(work, cells))
     else:

@@ -56,16 +56,22 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubgradientSample:
-    """One oracle answer: the function value and a single subgradient."""
+    """One oracle answer: the function value, a single subgradient and its
+    Euclidean ``norm``, computed once by :meth:`of` and read by both the B
+    check in ``ProblemInstance.evaluate`` and the step rule in ``solver.run``."""
 
     value: float
     subgradient: np.ndarray
-    is_zero: bool = False
+    norm: float
+
+    @property
+    def is_zero(self) -> bool:
+        return self.norm <= ZERO_TOL
 
     @classmethod
     def of(cls, value: float, subgradient: np.ndarray) -> "SubgradientSample":
         g = np.asarray(subgradient, dtype=np.float64)
-        return cls(float(value), g, bool(np.linalg.norm(g) <= ZERO_TOL))
+        return cls(float(value), g, float(np.linalg.norm(g)))
 
 
 @dataclass(frozen=True)
@@ -162,10 +168,9 @@ class ProblemInstance:
     def evaluate(self, x: np.ndarray, k: int | None = None) -> SubgradientSample:
         """Query the oracle, enforcing the subgradient norm bound."""
         sample = self.oracle(np.asarray(x, dtype=np.float64), k)
-        norm = float(np.linalg.norm(sample.subgradient))
-        if norm > self.B * (1.0 + 1e-12):
+        if sample.norm > self.B * (1.0 + 1e-12):
             raise ValueError(
-                f"oracle returned a subgradient of norm {norm}, exceeding B={self.B}"
+                f"oracle returned a subgradient of norm {sample.norm}, exceeding B={self.B}"
             )
         return sample
 

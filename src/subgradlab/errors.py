@@ -45,3 +45,8 @@ class InfeasibleReference(SubgradLabError, ValueError):
 
 class OptimizationFailed(SubgradLabError, RuntimeError):
     """A one-dimensional search did not bracket an interior minimum."""
+
+
+class InvariantViolation(SubgradLabError, RuntimeError):
+    """An identity that a formula or construction guarantees failed to hold
+    numerically; it signals a bug, not bad input."""

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import OptimizationFailed, StepOutOfRange
+from .errors import InvariantViolation, OptimizationFailed, StepOutOfRange
 from .sequences import s
 
 
@@ -63,7 +63,8 @@ def optimal_constant_step(N: int) -> OptimalConstantStep:
     sN1 = s(1.0, N + 1)
     h_star = 1.0 / (sN1 * math.sqrt(sN1 * sN1 - 2.0 * N))
     rate = math.sqrt(1.0 - 2.0 * N / (sN1 * sN1))
-    assert abs(constant_step_rate(N, h_star) - rate) <= 1e-12 * max(1.0, rate)
+    if abs(constant_step_rate(N, h_star) - rate) > 1e-12 * max(1.0, rate):
+        raise InvariantViolation(f"h*={h_star} misses the optimal rate {rate} for N={N}")
     return OptimalConstantStep(h_star, rate)
 
 
@@ -89,9 +90,10 @@ def weakened_rate_bounds(N: int, h: float) -> WeakenedRateBounds:
     quarter_log = 0.25 * math.log(N)
     log_form = (1.0 + quarter_log) * h + 1.0 / (4.0 * (N + 1) * h)
     optimal_log_form = math.sqrt(1.0 + quarter_log) / math.sqrt(N + 1)
-    if h > 1.0 / s(1.0, N + 1) ** 2:
-        assert constant_step_rate(N, h) <= log_form + 1e-12
-    assert optimal_constant_step(N).rate <= optimal_log_form + 1e-12
+    if h > 1.0 / s(1.0, N + 1) ** 2 and constant_step_rate(N, h) > log_form + 1e-12:
+        raise InvariantViolation(f"log form {log_form} is below the rate at N={N}, h={h}")
+    if optimal_constant_step(N).rate > optimal_log_form + 1e-12:
+        raise InvariantViolation(f"optimal log form {optimal_log_form} is too low at N={N}")
     return WeakenedRateBounds(log_form, optimal_log_form)
 
 
@@ -112,10 +114,8 @@ def optimal_method_rate(N: int) -> float:
     return 1.0 / math.sqrt(N + 1.0)
 
 
-def lower_bound(N: int) -> float:
-    """Best gap any step-size choice can guarantee after N steps: 1 / sqrt(N+1)."""
-    N = _validate_horizon(N)
-    return 1.0 / math.sqrt(N + 1.0)
+# The same number is the best gap any step-size choice can guarantee after N steps.
+lower_bound = optimal_method_rate
 
 
 def classical_lower_bound(N: int) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import AlphaOutOfRange
+from .errors import AlphaOutOfRange, InvariantViolation
 
 # One growing list of values per distinct seed, keyed by the exact float.
 # Entries are only ever appended, so every query sees bit-identical values
@@ -90,5 +90,6 @@ def s_bounds(k: int) -> tuple[float, float]:
     lower = math.sqrt(2.0 * k)
     upper = math.sqrt(2.0 * k + 0.5 * math.log(k - 1))
     value = s(1.0, k)
-    assert lower <= value <= upper, (k, lower, value, upper)
+    if not lower <= value <= upper:
+        raise InvariantViolation(f"s_{k} = {value} is outside [{lower}, {upper}]")
     return lower, upper

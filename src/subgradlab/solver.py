@@ -26,6 +26,7 @@ from .errors import (
     ScheduleExhausted,
     StepOutOfRange,
 )
+from .rates import _validate_horizon, _validate_step
 
 
 @dataclass(frozen=True)
@@ -58,19 +59,19 @@ class StepSchedule:
 
     @classmethod
     def constant_normalized(cls, h: float) -> "StepSchedule":
-        return cls(kind="constant", h=_positive(h, "h"))
+        return cls(kind="constant", h=_validate_step(h, "h"))
 
     @classmethod
     def constant_length(cls, t: float) -> "StepSchedule":
-        return cls(kind="length", t=_positive(t, "t"))
+        return cls(kind="length", t=_validate_step(t, "t"))
 
     @classmethod
     def optimal_last_iterate(cls, N: int) -> "StepSchedule":
-        return cls(kind="optimal", N=_horizon(N))
+        return cls(kind="optimal", N=_validate_horizon(N))
 
     @classmethod
     def optimal_length(cls, N: int) -> "StepSchedule":
-        return cls(kind="optimal_length", N=_horizon(N))
+        return cls(kind="optimal_length", N=_validate_horizon(N))
 
     def check_supports(self, N: int) -> None:
         """Raise unless this schedule can drive N iterations."""
@@ -111,19 +112,6 @@ class StepSchedule:
         if self.kind == "optimal_length":
             return p.R * (self.N + 1 - k) / (self.N + 1) ** 1.5
         return self.step_size(k, p, 1.0)
-
-
-def _positive(v: float, name: str) -> float:
-    v = float(v)
-    if not math.isfinite(v) or v <= 0:
-        raise StepOutOfRange(f"{name} must be a finite positive number, got {v}")
-    return v
-
-
-def _horizon(N: int) -> int:
-    if int(N) != N or N < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {N}")
-    return int(N)
 
 
 @dataclass
@@ -172,7 +160,7 @@ def run(
         if schedule.N is None:
             raise ValueError("N is required for schedules without a planned horizon")
         N = schedule.N
-    N = _horizon(N)
+    N = _validate_horizon(N)
     schedule.check_supports(N)
     if x1 is None:
         if p.x_start is None:
@@ -208,7 +196,7 @@ def run(
                 points[k - 1 :] = x
                 subgradients[k - 1 :] = g
             break
-        h_k = schedule.step_size(k, p, float(np.linalg.norm(g)))
+        h_k = schedule.step_size(k, p, sample.norm)
         steps[k - 1] = h_k
         x = p.projection(x - h_k * g)
         if full:

@@ -14,18 +14,21 @@ an ordinary convex function).
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
 from .core import PiecewiseLinearMax, ProblemInstance, instance_from_pieces
-from .errors import StepOutOfRange, StepTooSmall
+from .errors import InvariantViolation, StepOutOfRange, StepTooSmall
 from .rates import (
     TWO_STEP_FIRST,
     TWO_STEP_KNEE,
     RateReport,
+    _validate_horizon,
+    _validate_step,
     constant_step_rate,
 )
-from .sequences import s
+from .sequences import iter_s, s
 from .solver import StepSchedule, last_gap, run
 
 
@@ -63,13 +66,10 @@ def long_step_instance(N: int, h: float, scripted: bool = True) -> ProblemInstan
     remaining piece stays active and the final value lands exactly on
     ``constant_step_rate(N, h)``.
     """
-    if int(N) != N or N < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {N}")
-    N = int(N)
-    h = float(h)
-    sN1 = s(1.0, N + 1)
-    if not math.isfinite(h) or h <= 0:
-        raise StepOutOfRange(f"h must be a finite positive number, got {h}")
+    N = _validate_horizon(N)
+    h = _validate_step(h)
+    s_values = list(islice(iter_s(1.0), N + 1))  # s_1 .. s_{N+1}
+    sN1 = s_values[N]
     if h <= 1.0 / sN1**2:
         raise StepTooSmall(
             f"h={h} is at or below the knee {1.0 / sN1 ** 2:.6g} for N={N}; "
@@ -78,24 +78,26 @@ def long_step_instance(N: int, h: float, scripted: bool = True) -> ProblemInstan
     lead = 1.0 / (h * sN1**2)
     root = math.sqrt(1.0 - lead * lead)
 
-    # gamma_1 = 1, gamma_k^2 = prod_{i<k} (1 - 1/s_{N+1-i}^4), defined to k = N
-    gammas = np.ones(N)
-    for k in range(2, N + 1):
-        gammas[k - 1] = gammas[k - 2] * math.sqrt(1.0 - 1.0 / s(1.0, N + 2 - k) ** 4)
-
-    xi = np.zeros((N + 1, N + 1))
-    for k in range(1, N + 1):
-        xi[k - 1, 0] = lead
-        for i in range(2, k + 1):
-            xi[k - 1, i - 1] = root * gammas[i - 2] / s(1.0, N + 2 - i) ** 2
-        xi[k - 1, k] = -root * gammas[k - 1]
+    # Row k = 1..N of xi: lead in column 0, root gamma_j / s_{N+1-j}^2 in each
+    # column j < k (the same in every row, so the block below the diagonal
+    # repeats one row vector), -root gamma_k in column k.  Row N+1 is row N with
+    # +root gamma_N in column N; gamma_1 = 1, gamma_k = gamma_{k-1} *
+    # sqrt(1 - 1/s_{N+2-k}^4).  Powers stay Python floats to keep the bits.
+    s_desc = s_values[N - 1 : 0 : -1]  # s_N .. s_2
+    gammas = np.cumprod([1.0] + [math.sqrt(1.0 - 1.0 / v**4) for v in s_desc])
+    below = root * gammas[: N - 1] / np.array([v**2 for v in s_desc])
+    slopes = np.zeros((N + 2, N + 1))  # row 0 is the zero piece
+    xi = slopes[1:]
+    xi[:N, 0] = lead
+    xi[:N, 1:N] = np.tril(np.broadcast_to(below, (N, N - 1)), -1)
+    xi[np.arange(N), np.arange(1, N + 1)] = -root * gammas
     xi[N] = xi[N - 1]
     xi[N, N] = root * gammas[N - 1]
 
     norms = np.linalg.norm(xi, axis=1)
-    assert np.all(np.abs(norms - 1.0) <= 1e-12), norms
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):
+        raise InvariantViolation(f"long-step slopes are not unit vectors: {norms}")
 
-    slopes = np.vstack([np.zeros(N + 1), xi])
     intercepts = np.zeros(N + 2)  # every piece passes through the origin
     choices = {k: k for k in range(1, N + 2)} if scripted else None
     pieces = PiecewiseLinearMax(slopes, intercepts, scripted_choices=choices)
@@ -111,7 +113,8 @@ def long_step_instance(N: int, h: float, scripted: bool = True) -> ProblemInstan
         R=1.0,
         name=f"longstep(N={N},h={h})",
     )
-    assert abs(instance.evaluate(np.zeros(N + 1)).value) <= 1e-12
+    if abs(instance.evaluate(np.zeros(N + 1)).value) > 1e-12:
+        raise InvariantViolation("the long-step function is not 0 at the origin")
     return instance
 
 
@@ -167,8 +170,8 @@ def two_step_worst_long(h2: float, scripted: bool = True) -> ProblemInstance:
         )
     sqrt2 = math.sqrt(2.0)
     gamma = 32.0 * h2 / (1.0 + 8.0 * sqrt2 * h2) ** 2
-    assert 0.0 <= gamma <= 1.0
-    assert 1.0 - 1.0 / (128.0 * h2 * h2) >= 0.0
+    if not (0.0 <= gamma <= 1.0 and 1.0 - 1.0 / (128.0 * h2 * h2) >= 0.0):
+        raise InvariantViolation(f"two-step long construction is undefined at h2={h2}")
     sin = math.sqrt(1.0 - gamma * gamma)
     deep = math.sqrt((1.0 - gamma * gamma) * (1.0 - 1.0 / (128.0 * h2 * h2)))
 
@@ -176,7 +179,8 @@ def two_step_worst_long(h2: float, scripted: bool = True) -> ProblemInstance:
     xi2 = np.array([gamma, sin / (8.0 * sqrt2 * h2), -deep])
     xi3 = np.array([gamma, sin / (8.0 * sqrt2 * h2), deep])
     for v in (xi1, xi2, xi3):
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+            raise InvariantViolation(f"two-step slope {v} is not a unit vector")
 
     z1 = np.array([1.0, 0.0, 0.0])
     z2 = z1 - xi1 / (2.0 * sqrt2)
@@ -196,7 +200,8 @@ def two_step_worst_long(h2: float, scripted: bool = True) -> ProblemInstance:
         ]
     )
     # all pieces must stay at or below zero at the minimizer
-    assert np.max(intercepts) <= 1e-12, intercepts
+    if np.max(intercepts) > 1e-12:
+        raise InvariantViolation(f"a two-step piece is positive at the minimizer: {intercepts}")
 
     pieces = PiecewiseLinearMax(
         slopes,

@@ -66,6 +66,11 @@ def test_sample_zero_detection():
     assert not SubgradientSample.of(1.0, np.array([0.0, 1e-10, 0.0])).is_zero
 
 
+def test_sample_norm_matches_linalg_norm():
+    for g in (np.zeros(3), np.array([0.0, 1e-10, 0.0]), np.array([3.0, -4.0, 0.1])):
+        assert SubgradientSample.of(1.0, g).norm == np.linalg.norm(g)
+
+
 def test_pieces_validation():
     with pytest.raises(ValueError):
         PiecewiseLinearMax(slopes=np.zeros((0, 2)), intercepts=np.zeros(0))

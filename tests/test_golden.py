@@ -1,0 +1,41 @@
+"""Byte-for-byte output gate for a fixed set of CLI commands.
+
+The expected stdout files under ``tests/golden/`` were written by the CLI
+itself; a refactor or speed-up of any layer must leave them unchanged.  To
+regenerate one after an intended output change, run the command below with
+``python -m subgradlab`` and redirect stdout to the file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from subgradlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+WORSTCASE_SWEEP = (
+    "sweep", "--instance", "worstcase", "--N-list", "1,5,50,150",
+    "--h-grid", "0.02:0.6:0.02",
+)
+
+CASES = {
+    "sweep_worstcase_constant.csv": (*WORSTCASE_SWEEP, "--method", "constant"),
+    "sweep_worstcase_length.csv": (*WORSTCASE_SWEEP, "--method", "length"),
+    "sweep_worstcase_constant_scaled.csv": (
+        *WORSTCASE_SWEEP, "--method", "constant", "--B", "2", "--R", "0.5",
+    ),
+    "run_random_length.csv": (
+        "run", "--instance", "random", "--method", "length", "--N", "2000",
+        "--dim", "8", "--directions", "16", "--t", "0.1", "--B", "2", "--R", "3",
+    ),
+    "certify.txt": ("certify", "--trials", "50", "--N", "10", "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(capsys, name):
+    code = main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()

@@ -1,0 +1,19 @@
+"""Library invariants must survive ``python -O``, which strips ``assert``."""
+
+import ast
+from pathlib import Path
+
+import subgradlab
+
+SOURCES = sorted(Path(subgradlab.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    assert SOURCES
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -179,3 +179,34 @@ def test_random_instances_well_formed(dim, m, seed):
     sample = p.evaluate(p.x_start)
     assert np.linalg.norm(sample.subgradient) <= 1.0 + 1e-12
     assert sample.value >= 0.0
+
+
+def _reference_long_step_slopes(N, h):
+    """The long-step slopes built entry by entry with scalar loops, as the
+    construction was first written; the array build must match it bit for bit."""
+    sN1 = s(1.0, N + 1)
+    lead = 1.0 / (h * sN1**2)
+    root = math.sqrt(1.0 - lead * lead)
+    gammas = np.ones(N)
+    for k in range(2, N + 1):
+        gammas[k - 1] = gammas[k - 2] * math.sqrt(1.0 - 1.0 / s(1.0, N + 2 - k) ** 4)
+    xi = np.zeros((N + 1, N + 1))
+    for k in range(1, N + 1):
+        xi[k - 1, 0] = lead
+        for i in range(2, k + 1):
+            xi[k - 1, i - 1] = root * gammas[i - 2] / s(1.0, N + 2 - i) ** 2
+        xi[k - 1, k] = -root * gammas[k - 1]
+    xi[N] = xi[N - 1]
+    xi[N, N] = root * gammas[N - 1]
+    return np.vstack([np.zeros(N + 1), xi])
+
+
+@pytest.mark.parametrize("N", [*range(1, 41), 100, 200])
+def test_long_step_slopes_match_scalar_reference(N):
+    knee = 1.0 / s(1.0, N + 1) ** 2
+    for h in (knee * 1.0001, knee * 1.7, knee * 9.3, 0.37, 2.5):  # knee <= 1/4
+        expected = _reference_long_step_slopes(N, h)
+        for scripted in (True, False):
+            pieces = long_step_instance(N, h, scripted=scripted).oracle.args[0]
+            assert np.array_equal(pieces.slopes, expected)
+            assert np.array_equal(pieces.intercepts, np.zeros(N + 2))
