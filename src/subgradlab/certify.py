@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     MonotonicityViolation,
     StepOutOfRange,
 )
-from .sequences import s
+from .sequences import iter_s, s
 from .solver import RunTrace
 
 
@@ -209,11 +210,8 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
     [1, max(1, 1/sqrt(h))] to absolute tolerance ``tol``.
     """
 
-    def grown(alpha: float) -> float:
-        v = alpha
-        for _ in range(N):
-            v += 1.0 / v
-        return v
+    def grown(alpha: float) -> float:  # s_{alpha,N+1}
+        return next(islice(iter_s(alpha), N, None))
 
     target = 1.0 / math.sqrt(h)
     if grown(1.0) > target * (1.0 + 1e-15):

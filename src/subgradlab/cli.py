@@ -48,8 +48,31 @@ SWEEP_COLUMNS = COLUMNS + ["bound_log"]
 
 SLACK_FLOOR = -1e-9
 
-_METHODS = ("constant", "length", "optimal", "optimal-length", "custom")
-_INSTANCES = ("abs", "longstep", "lemma-i", "lemma-ii", "random", "worstcase")
+# method -> (the `run` flag holding its step parameter, schedule from
+# (N, param), last-iterate rate per B*R from (N, param) or None)
+_METHODS = {
+    "constant": (
+        "h",
+        lambda N, h: solver.StepSchedule.constant_normalized(h),
+        lambda N, h: rates.constant_step_rate(N, h),
+    ),
+    "length": (
+        "t",
+        lambda N, t: solver.StepSchedule.constant_length(t),
+        lambda N, t: rates.constant_length_rate(N, t),
+    ),
+    "optimal": (
+        None,
+        lambda N, _: solver.StepSchedule.optimal_last_iterate(N),
+        lambda N, _: rates.optimal_method_rate(N),
+    ),
+    "optimal-length": (
+        None,
+        lambda N, _: solver.StepSchedule.optimal_length(N),
+        lambda N, _: rates.optimal_method_rate(N),
+    ),
+    "custom": (None, lambda N, steps: solver.StepSchedule.custom(steps), None),
+}
 
 
 class CliError(Exception):
@@ -84,79 +107,61 @@ def _write_rows(rows: list[dict], columns: list[str], fmt: str, out: str) -> Non
             f.write(payload)
 
 
-def _build_schedule(args, N: int, canonical_steps=None) -> solver.StepSchedule:
-    method = args.method
-    if method == "constant":
-        if args.h is None:
-            raise CliError("--method constant requires --h")
-        return solver.StepSchedule.constant_normalized(args.h)
-    if method == "length":
-        if args.t is None:
-            raise CliError("--method length requires --t")
-        return solver.StepSchedule.constant_length(args.t)
-    if method == "optimal":
-        return solver.StepSchedule.optimal_last_iterate(N)
-    if method == "optimal-length":
-        return solver.StepSchedule.optimal_length(N)
-    if args.steps_file is not None:
-        try:
-            with open(args.steps_file) as f:
-                steps = [float(tok) for tok in f.read().split()]
-        except OSError as exc:
-            raise CliError(f"cannot read --steps-file: {exc}") from exc
-        except ValueError as exc:
-            raise CliError(f"--steps-file must hold numbers: {exc}") from exc
-        return solver.StepSchedule.custom(steps)
-    if canonical_steps is not None:
-        return solver.StepSchedule.custom(canonical_steps)
-    raise CliError("--method custom requires --steps-file")
+def _custom_steps(args) -> list[float]:
+    """The raw steps of ``run --method custom``: the ``--steps-file``, or the
+    canonical schedule of a two-step instance at the requested B and R."""
+    if args.steps_file is None:
+        if args.instance not in ("lemma-i", "lemma-ii"):
+            raise CliError("--method custom requires --steps-file")
+        return [rates.TWO_STEP_FIRST * args.R / args.B, args.h2 * args.R / args.B]
+    try:
+        with open(args.steps_file) as f:
+            return [float(tok) for tok in f.read().split()]
+    except OSError as exc:
+        raise CliError(f"cannot read --steps-file: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"--steps-file must hold numbers: {exc}") from exc
 
 
-def _build_instance(args, N: int) -> tuple[ProblemInstance, list[float] | None]:
-    """Returns the instance plus, for the two-step instances, their canonical
-    raw steps (scaled to the requested B and R)."""
+def _instance(args, N: int, h: float | None, shared_random=None) -> ProblemInstance:
+    """The ``--instance`` problem for a cell of horizon N and step h, at the
+    requested B and R.  ``worstcase`` picks the tight construction for the
+    cell's side of the knee; ``shared_random`` stands in for a fresh random
+    instance."""
     B, R = args.B, args.R
     if B <= 0 or R <= 0:
         raise CliError(f"B and R must be positive, got B={B}, R={R}")
-    normalized = abs(B - 1.0) <= 1e-15 and abs(R - 1.0) <= 1e-15
     key = args.instance
-
+    if key == "worstcase":
+        key = "longstep" if h is not None and h > 1.0 / s(1.0, N + 1) ** 2 else "abs"
     if key == "abs":
-        return worstcase.abs_instance(B, R), None
-
+        return worstcase.abs_instance(B, R)
     if key == "longstep":
-        if args.h is None:
-            raise CliError("--instance longstep needs --h to define the construction")
-        scripted = args.method == "constant"
-        inst = worstcase.long_step_instance(N, args.h, scripted=scripted)
-        return (inst if normalized else scale_instance(inst, B, R)), None
-
-    if key in ("lemma-i", "lemma-ii"):
+        if h is None:
+            raise CliError("--instance longstep needs a step h (--h or --h-grid)")
+        p = worstcase.long_step_instance(N, h, scripted=args.method == "constant")
+    elif key in ("lemma-i", "lemma-ii"):
         if args.h2 is None:
             raise CliError(f"--instance {key} requires --h2")
-        canonical = [rates.TWO_STEP_FIRST * R / B, args.h2 * R / B]
-        scripted = args.method == "custom" and N == 2 and args.steps_file is None
         make = (
             worstcase.two_step_worst_small
             if key == "lemma-i"
             else worstcase.two_step_worst_long
         )
-        inst = make(args.h2, scripted=scripted)
-        return (inst if normalized else scale_instance(inst, B, R)), canonical
-
-    if key == "random":
-        inst = worstcase.random_instance(args.dim, args.directions, seed=args.seed)
-        return (inst if normalized else scale_instance(inst, B, R)), None
-
-    raise CliError(f"--instance {key} is not valid here")
+        scripted = args.method == "custom" and N == 2 and args.steps_file is None
+        p = make(args.h2, scripted=scripted)
+    else:
+        p = shared_random or worstcase.random_instance(
+            args.dim, args.directions, seed=args.seed
+        )
+    normalized = abs(B - 1.0) <= 1e-15 and abs(R - 1.0) <= 1e-15
+    return p if normalized else scale_instance(p, B, R)
 
 
 def _cell_row(
-    method: str,
+    args,
     N: int,
     param: float | None,
-    instance_key: str,
-    seed: int,
     p: ProblemInstance,
     schedule: solver.StepSchedule,
     include_log_bound: bool = False,
@@ -169,26 +174,20 @@ def _cell_row(
     avgg = solver.avg_gap(trace, p, extended)
     bound_best = solver.best_iterate_bound(extended, p.B, p.R)
 
-    if method == "constant":
-        bound_last = BR * rates.constant_step_rate(N, param)
-    elif method == "length":
-        bound_last = BR * rates.constant_length_rate(N, param)
-    elif method in ("optimal", "optimal-length"):
-        bound_last = BR * rates.optimal_method_rate(N)
-    else:
-        bound_last = None
+    rate = _METHODS[args.method][2]
+    bound_last = None if rate is None else BR * rate(N, param)
 
     slacks = [bound_best - bestg]
     if bound_last is not None:
         slacks.append(bound_last - lastg)
     row = {
-        "method": method,
+        "method": args.method,
         "N": N,
         "h": param,
         "B": p.B,
         "R": p.R,
-        "instance": instance_key,
-        "seed": seed,
+        "instance": args.instance,
+        "seed": args.seed,
         "last_gap": lastg,
         "best_gap": bestg,
         "avg_gap": avgg,
@@ -197,7 +196,7 @@ def _cell_row(
         "slack": min(slacks),
     }
     if include_log_bound:
-        if method in ("constant", "length") and N >= 2:
+        if param is not None and N >= 2:  # the constant-parameter methods
             row["bound_log"] = BR * rates.weakened_rate_bounds(N, param).log_form
         else:
             row["bound_log"] = None
@@ -208,12 +207,13 @@ def _cmd_run(args) -> int:
     N = args.N
     if N < 1:
         raise CliError(f"--N must be >= 1, got {N}")
-    p, canonical = _build_instance(args, N)
-    schedule = _build_schedule(args, N, canonical_steps=canonical)
-    param = args.h if args.method == "constant" else None
-    if args.method == "length":
-        param = args.t
-    row = _cell_row(args.method, N, param, args.instance, args.seed, p, schedule)
+    p = _instance(args, N, args.h)
+    flag, make_schedule, _ = _METHODS[args.method]
+    param = None if flag is None else getattr(args, flag)
+    if flag is not None and param is None:
+        raise CliError(f"--method {args.method} requires --{flag}")
+    steps = _custom_steps(args) if args.method == "custom" else param
+    row = _cell_row(args, N, param, p, make_schedule(N, steps))
     _write_rows([row], COLUMNS, args.format, args.out)
     if row["slack"] < SLACK_FLOOR:
         print(
@@ -248,55 +248,13 @@ def _parse_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _sweep_cell(args, N: int, h: float | None, shared_random) -> dict:
-    method = args.method
-    if method in ("optimal", "optimal-length"):
-        schedule = (
-            solver.StepSchedule.optimal_last_iterate(N)
-            if method == "optimal"
-            else solver.StepSchedule.optimal_length(N)
-        )
-    elif method == "constant":
-        schedule = solver.StepSchedule.constant_normalized(h)
-    else:
-        schedule = solver.StepSchedule.constant_length(h)
-
-    key = args.instance
-    normalized = abs(args.B - 1.0) <= 1e-15 and abs(args.R - 1.0) <= 1e-15
-    build = key
-    if key == "worstcase":  # the tight construction for the cell's regime
-        build = "longstep" if h is not None and h > 1.0 / s(1.0, N + 1) ** 2 else "abs"
-    if build == "abs":
-        p = worstcase.abs_instance(args.B, args.R)
-    elif build == "longstep":
-        if h is None:
-            raise CliError("--instance longstep needs an h grid")
-        p = worstcase.long_step_instance(N, h, scripted=(method == "constant"))
-    elif build == "random":
-        p = shared_random
-    else:
-        raise CliError(f"--instance {key} cannot be swept")
-    if build != "abs" and not normalized:
-        p = scale_instance(p, args.B, args.R)
-
-    return _cell_row(
-        method, N, h, key, args.seed, p, schedule, include_log_bound=True
-    )
-
-
 def _cmd_sweep(args) -> int:
     n_values = _parse_n_list(args.N_list)
-    if args.method in ("optimal", "optimal-length"):
-        if args.h_grid is not None:
-            raise CliError(f"--h-grid has no effect with --method {args.method}")
-        grid: list[float | None] = [None]
-    else:
-        if args.h_grid is None:
-            raise CliError(f"--method {args.method} needs --h-grid")
-        grid = _parse_grid(args.h_grid)
-    if args.instance in ("lemma-i", "lemma-ii"):
-        raise CliError("the two-step instances are fixed-horizon; use run instead")
-
+    has_step = _METHODS[args.method][0] is not None
+    if has_step != (args.h_grid is not None):
+        need = "needs" if has_step else "takes no"
+        raise CliError(f"--method {args.method} {need} --h-grid")
+    grid = _parse_grid(args.h_grid) if has_step else [None]
     shared_random = None
     if args.instance == "random":
         shared_random = worstcase.random_instance(
@@ -304,10 +262,12 @@ def _cmd_sweep(args) -> int:
         )
 
     cells = [(N, h) for N in n_values for h in grid]
+    make_schedule = _METHODS[args.method][1]
 
     def work(cell):
         N, h = cell
-        return _sweep_cell(args, N, h, shared_random)
+        p = _instance(args, N, h, shared_random)
+        return _cell_row(args, N, h, p, make_schedule(N, h), include_log_bound=True)
 
     if args.parallel > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -336,7 +296,13 @@ def _cmd_certify(args) -> int:
     if N < 1:
         raise CliError(f"--N must be >= 1, got {N}")
 
-    kinds = ("constant", "length", "optimal", "optimal-length", "custom")
+    draws = (  # each method's step parameter, drawn in trial order
+        ("constant", lambda rng: rng.uniform(0.05, 1.2)),
+        ("length", lambda rng: rng.uniform(0.05, 1.0)),
+        ("optimal", lambda rng: None),
+        ("optimal-length", lambda rng: None),
+        ("custom", lambda rng: rng.uniform(0.02, 0.8, N)),
+    )
     min_slack = math.inf
     min_trial = -1
     violations: list[tuple[int, float]] = []
@@ -345,17 +311,8 @@ def _cmd_certify(args) -> int:
         dim = int(rng.integers(2, 9))
         directions = int(rng.integers(1, 2 * dim + 1))
         p = worstcase.random_instance(dim, directions, seed=rng)
-        kind = kinds[trial % len(kinds)]
-        if kind == "constant":
-            schedule = solver.StepSchedule.constant_normalized(rng.uniform(0.05, 1.2))
-        elif kind == "length":
-            schedule = solver.StepSchedule.constant_length(rng.uniform(0.05, 1.0))
-        elif kind == "optimal":
-            schedule = solver.StepSchedule.optimal_last_iterate(N)
-        elif kind == "optimal-length":
-            schedule = solver.StepSchedule.optimal_length(N)
-        else:
-            schedule = solver.StepSchedule.custom(rng.uniform(0.02, 0.8, N))
+        method, draw = draws[trial % len(draws)]
+        schedule = _METHODS[method][1](N, draw(rng))
         trace = solver.run(p, schedule, N=N)
 
         v = np.sort(rng.uniform(0.05, 2.0, N + 2))
@@ -416,11 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep a grid of horizons and steps")
-    sweep_p.add_argument(
-        "--method",
-        choices=("constant", "length", "optimal", "optimal-length"),
-        default="constant",
-    )
+    swept = [m for m in _METHODS if m != "custom"]
+    sweep_p.add_argument("--method", choices=swept, default="constant")
     sweep_p.add_argument("--N-list", required=True, help="comma-separated horizons")
     sweep_p.add_argument("--h-grid", help="step grid as min:max:step")
     sweep_p.add_argument(
@@ -451,10 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SubgradLabError, ValueError) as exc:
+    except (CliError, SubgradLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

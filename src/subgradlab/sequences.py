@@ -11,14 +11,19 @@ the certificate weights used elsewhere in the package.
 from __future__ import annotations
 
 import math
+import threading
+from itertools import islice
 from typing import Iterator
 
 from .errors import AlphaOutOfRange, InvariantViolation
 
-# One growing list of values per distinct seed, keyed by the exact float.
-# Entries are only ever appended, so every query sees bit-identical values
-# regardless of the order in which the cache was populated.
+# Growing lists s_{alpha,1}, s_{alpha,2}, ... for the CACHE_SEEDS seeds
+# extended most recently, keyed by the exact float.  Entries are only ever
+# appended, under the lock and by ``iter_s``, so every query sees
+# bit-identical values whatever order the cache was filled or emptied in.
+CACHE_SEEDS = 16
 _CACHE: dict[float, list[float]] = {}
+_CACHE_LOCK = threading.Lock()
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -31,16 +36,28 @@ def _validate_alpha(alpha: float) -> float:
 def s(alpha: float, k: int) -> float:
     """Return s_{alpha,k} for integer k >= 1.
 
-    Values are memoized per seed, so repeated queries cost one list lookup.
+    Values are memoized for the ``CACHE_SEEDS`` seeds extended most recently,
+    so repeated queries cost one list lookup.
     """
+    return _prefix(alpha, k)[k - 1]
+
+
+def _prefix(alpha: float, k: int) -> list[float]:
+    """The cached list s_{alpha,1}, s_{alpha,2}, ... holding at least k values."""
     alpha = _validate_alpha(alpha)
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    values = _CACHE.setdefault(alpha, [alpha])
-    while len(values) < k:
-        last = values[-1]
-        values.append(last + 1.0 / last)
-    return values[k - 1]
+    values = _CACHE.get(alpha)
+    if values is not None and len(values) >= k:
+        return values
+    with _CACHE_LOCK:
+        values = _CACHE.pop(alpha, None) or [alpha]
+        if len(_CACHE) >= CACHE_SEEDS:
+            del _CACHE[next(iter(_CACHE))]  # the seed extended longest ago
+        _CACHE[alpha] = values
+        if len(values) < k:  # another thread may have extended it already
+            values.extend(islice(iter_s(values[-1]), 1, k - len(values) + 1))
+    return values
 
 
 def iter_s(alpha: float) -> Iterator[float]:
@@ -68,8 +85,7 @@ def s_identity_check(alpha: float, k: int) -> tuple[float, float]:
     alpha = _validate_alpha(alpha)
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    s(alpha, k + 1)  # make sure the cache holds everything we need
-    values = _CACHE[alpha]
+    values = _prefix(alpha, k + 1)
     sum_inv = math.fsum(1.0 / values[i] for i in range(k))
     sum_inv_sq = math.fsum(1.0 / values[i] ** 2 for i in range(k))
     res_sum = abs(values[k] - (alpha + sum_inv))

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FEASIBLE_TOL, ProblemInstance, as_point
+from .core import ProblemInstance, as_point
 from .errors import (
     EmptySchedule,
     IncompatibleLength,
@@ -33,20 +33,24 @@ from .rates import _validate_horizon, _validate_step
 class StepSchedule:
     """A rule producing the step size h_k for each iteration k = 1..N.
 
-    Kinds:
+    ``rule(k, B, R)`` is a formula of the iteration k and the instance's
+    constants B and R.  It gives h_k itself, or, when ``by_length`` is set,
+    the step length t_k: then h_k = t_k / ||g^k|| and every move has length
+    t_k.  ``N`` is the horizon a schedule was planned for and ``max_steps``
+    the length of a custom schedule; both are ``None`` when they do not
+    apply.  The constructors:
 
-    ``custom``          user-supplied raw step sizes, used verbatim
-    ``constant``        h_k = h * R / B for a dimensionless parameter h
-    ``length``          h_k = t * R / ||g^k||: every step has length t * R
-    ``optimal``         h_k = R (N+1-k) / (B (N+1)^{3/2})
-    ``optimal_length``  step length t_k = R (N+1-k) / (N+1)^{3/2} along -g/||g||
+    ``custom``               user-supplied raw step sizes, used verbatim
+    ``constant_normalized``  h_k = h * R / B for a dimensionless parameter h
+    ``constant_length``      t_k = t * R: every step has length t * R
+    ``optimal_last_iterate`` h_k = R (N+1-k) / (B (N+1)^{3/2})
+    ``optimal_length``       t_k = R (N+1-k) / (N+1)^{3/2}
     """
 
-    kind: str
-    h: float | None = None
-    t: float | None = None
+    rule: Callable[[int, float, float], float]
+    by_length: bool = False
     N: int | None = None
-    steps: tuple[float, ...] | None = None
+    max_steps: int | None = None
 
     @classmethod
     def custom(cls, steps: Sequence[float]) -> "StepSchedule":
@@ -55,63 +59,55 @@ class StepSchedule:
             raise EmptySchedule("a custom schedule needs at least one step")
         if any(not math.isfinite(v) or v <= 0 for v in steps):
             raise StepOutOfRange("custom steps must be finite and positive")
-        return cls(kind="custom", steps=steps)
+        return cls(lambda k, B, R: steps[k - 1], max_steps=len(steps))
 
     @classmethod
     def constant_normalized(cls, h: float) -> "StepSchedule":
-        return cls(kind="constant", h=_validate_step(h, "h"))
+        h = _validate_step(h, "h")
+        return cls(lambda k, B, R: h * R / B)
 
     @classmethod
     def constant_length(cls, t: float) -> "StepSchedule":
-        return cls(kind="length", t=_validate_step(t, "t"))
+        t = _validate_step(t, "t")
+        return cls(lambda k, B, R: t * R, by_length=True)
 
     @classmethod
     def optimal_last_iterate(cls, N: int) -> "StepSchedule":
-        return cls(kind="optimal", N=_validate_horizon(N))
+        N = _validate_horizon(N)
+        return cls(lambda k, B, R: R * (N + 1 - k) / (B * (N + 1) ** 1.5), N=N)
 
     @classmethod
     def optimal_length(cls, N: int) -> "StepSchedule":
-        return cls(kind="optimal_length", N=_validate_horizon(N))
+        N = _validate_horizon(N)
+        return cls(
+            lambda k, B, R: R * (N + 1 - k) / (N + 1) ** 1.5, by_length=True, N=N
+        )
 
     def check_supports(self, N: int) -> None:
         """Raise unless this schedule can drive N iterations."""
-        if self.kind == "custom" and len(self.steps) < N:
+        if self.max_steps is not None and self.max_steps < N:
             raise ScheduleExhausted(
-                f"custom schedule has {len(self.steps)} steps, need {N}"
+                f"custom schedule has {self.max_steps} steps, need {N}"
             )
-        if self.kind in ("optimal", "optimal_length") and self.N != N:
+        if self.N is not None and self.N != N:
             raise IncompatibleLength(
                 f"schedule was planned for horizon {self.N}, asked to run {N}"
             )
 
     def step_size(self, k: int, p: ProblemInstance, g_norm: float) -> float:
         """The step size multiplying g^k at iteration k (1-based)."""
-        if self.kind == "custom":
-            return self.steps[k - 1]
-        if self.kind == "constant":
-            return self.h * p.R / p.B
-        if self.kind == "length":
-            return self.t * p.R / g_norm
-        if self.kind == "optimal":
-            return p.R * (self.N + 1 - k) / (p.B * (self.N + 1) ** 1.5)
-        if self.kind == "optimal_length":
-            t_k = p.R * (self.N + 1 - k) / (self.N + 1) ** 1.5
-            return t_k / g_norm
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        step = self.rule(k, p.B, p.R)
+        return step / g_norm if self.by_length else step
 
     def nominal_step(self, k: int, p: ProblemInstance) -> float:
         """A positive stand-in for h_k when no subgradient is available.
 
         Used only to pad the trace after an early stop at a zero
         subgradient; the padded entries multiply a zero vector, so any
-        positive value preserves the trace identities.  Length-based kinds
-        report the intended step length.
+        positive value preserves the trace identities.  Length-based
+        schedules report the intended step length.
         """
-        if self.kind == "length":
-            return self.t * p.R
-        if self.kind == "optimal_length":
-            return p.R * (self.N + 1 - k) / (self.N + 1) ** 1.5
-        return self.step_size(k, p, 1.0)
+        return self.rule(k, p.B, p.R)
 
 
 @dataclass
@@ -167,9 +163,7 @@ def run(
             raise ValueError("instance has no canonical start; pass x1 explicitly")
         x1 = p.x_start
     x = as_point(x1, p.dimension)
-    if float(np.linalg.norm(p.projection(x) - x)) > FEASIBLE_TOL * max(
-        1.0, float(np.linalg.norm(x))
-    ):
+    if not p.is_feasible(x):
         raise InfeasibleReference("initial point is not in the feasible set")
 
     full = record_mode == "full"

@@ -30,6 +30,31 @@ CASES = {
         "--dim", "8", "--directions", "16", "--t", "0.1", "--B", "2", "--R", "3",
     ),
     "certify.txt": ("certify", "--trials", "50", "--N", "10", "--seed", "3"),
+    "run_lemma_ii_custom_scaled.csv": (
+        "run", "--instance", "lemma-ii", "--method", "custom", "--N", "2",
+        "--h2", "0.3", "--B", "2", "--R", "3",
+    ),
+    "run_lemma_i_custom.csv": (
+        "run", "--instance", "lemma-i", "--method", "custom", "--N", "2", "--h2", "0.05",
+    ),
+    "run_longstep_length.csv": (
+        "run", "--instance", "longstep", "--method", "length", "--h", "0.3",
+        "--t", "0.2", "--N", "5",
+    ),
+    "sweep_random_optimal_length.json": (
+        "sweep", "--method", "optimal-length", "--N-list", "3,7,40", "--instance",
+        "random", "--dim", "6", "--directions", "5", "--B", "2", "--R", "3",
+        "--format", "json",
+    ),
+    "sweep_abs_optimal_scaled.csv": (
+        "sweep", "--method", "optimal", "--N-list", "3,7,40", "--instance", "abs",
+        "--B", "2", "--R", "3",
+    ),
+    "sweep_longstep_length_scaled.csv": (
+        "sweep", "--method", "length", "--instance", "longstep", "--N-list", "4,9",
+        "--h-grid", "0.3:0.5:0.1", "--B", "0.7", "--R", "1.3",
+    ),
+    "certify_300.txt": ("certify", "--trials", "300", "--N", "7", "--seed", "9"),
 }
 
 

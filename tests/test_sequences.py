@@ -1,10 +1,21 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgradlab import AlphaOutOfRange, iter_s, s, s_bounds, s_identity_check
+from subgradlab import (
+    AlphaOutOfRange,
+    alpha_family_bound,
+    iter_s,
+    s,
+    s_bounds,
+    s_identity_check,
+    sequences,
+)
 
 # First few terms of the unit-seed recursion, frozen by hand:
 # 1, 2, 2.5, 2.9, 2.9 + 1/2.9, ...
@@ -107,3 +118,40 @@ def test_square_grows_like_2k(k):
     val = s(1.0, k)
     assert val * val >= 2.0 * k - 1e-9
     assert val * val <= 2.0 * k + 0.5 * math.log(max(k - 1, 1)) + 1.0
+
+
+def test_cache_stays_bounded_over_many_seeds():
+    alphas = [1.0 + i / 997.0 for i in range(1000)]
+    for alpha in alphas:
+        alpha_family_bound(100, 0.01, alpha)
+    assert len(sequences._CACHE) <= sequences.CACHE_SEEDS
+    assert sum(map(len, sequences._CACHE.values())) <= sequences.CACHE_SEEDS * 101
+    # evicted and refilled seeds give the same bits as a fresh recursion
+    for alpha in alphas[::97] + [alphas[-1]]:
+        fresh = list(islice(iter_s(alpha), 120))
+        assert [s(alpha, k) for k in range(1, 121)] == fresh
+        assert max(s_identity_check(alpha, 50)) <= 1e-9
+    assert len(sequences._CACHE) <= sequences.CACHE_SEEDS
+
+
+def test_cache_is_exact_under_threads():
+    alphas = [1.0 + i / 7.0 for i in range(3 * sequences.CACHE_SEEDS)]
+    expected = {a: list(islice(iter_s(a), 300)) for a in alphas}
+
+    def work(offset):
+        wrong = []
+        for i in range(400):
+            alpha = alphas[(offset + i) % len(alphas)]
+            k = 1 + (offset * 31 + i * 17) % 300
+            if s(alpha, k) != expected[alpha][k - 1]:
+                wrong.append((alpha, k))
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:  # re-raises worker errors
+            assert list(pool.map(work, range(4))) == [[], [], [], []]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(sequences._CACHE) <= sequences.CACHE_SEEDS

@@ -252,3 +252,55 @@ def test_runs_are_deterministic(seed, N):
     b = run(p, StepSchedule.optimal_last_iterate(N))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.points, b.points)
+
+
+# The five scalar step formulas, written out as the reference the schedules
+# must reproduce bit for bit: (schedule, h_k(k, B, R, ||g||), nominal(k, B, R)).
+def _reference_schedules(N):
+    steps = [0.05 * (1 + (7 * k) % 11) for k in range(N)]
+    h, t = 0.37, 0.21
+
+    def optimal(k, B, R):
+        return R * (N + 1 - k) / (B * (N + 1) ** 1.5)
+
+    def optimal_length(k, B, R):
+        return R * (N + 1 - k) / (N + 1) ** 1.5
+
+    return [
+        (StepSchedule.custom(steps),
+         lambda k, B, R, g: steps[k - 1], lambda k, B, R: steps[k - 1]),
+        (StepSchedule.constant_normalized(h),
+         lambda k, B, R, g: h * R / B, lambda k, B, R: h * R / B),
+        (StepSchedule.constant_length(t),
+         lambda k, B, R, g: t * R / g, lambda k, B, R: t * R),
+        (StepSchedule.optimal_last_iterate(N),
+         lambda k, B, R, g: optimal(k, B, R), optimal),
+        (StepSchedule.optimal_length(N),
+         lambda k, B, R, g: optimal_length(k, B, R) / g, optimal_length),
+    ]
+
+
+@pytest.mark.parametrize("N", [1, 7, 200])
+@pytest.mark.parametrize("B,R", [(1.0, 1.0), (2.0, 3.0), (0.7, 1.3)])
+def test_schedules_match_reference_formulas_bit_for_bit(N, B, R):
+    p = abs_instance(B, R)
+    for schedule, step, nominal in _reference_schedules(N):
+        schedule.check_supports(N)
+        for k in range(1, N + 1):
+            for g in (0.3, 1.0, 1.9):
+                assert schedule.step_size(k, p, g) == step(k, B, R, g)
+            assert schedule.nominal_step(k, p) == nominal(k, B, R)
+
+
+def test_check_supports_error_types():
+    with pytest.raises(ScheduleExhausted):
+        StepSchedule.custom([0.1, 0.2]).check_supports(3)
+    StepSchedule.custom([0.1, 0.2]).check_supports(1)
+    for planned in (StepSchedule.optimal_last_iterate(4), StepSchedule.optimal_length(4)):
+        planned.check_supports(4)
+        for other in (3, 5):
+            with pytest.raises(IncompatibleLength):
+                planned.check_supports(other)
+    for free in (StepSchedule.constant_normalized(0.1), StepSchedule.constant_length(0.1)):
+        free.check_supports(1)
+        free.check_supports(10_000)
