@@ -142,7 +142,8 @@ def constant_step_weights(N: int, alpha: float, h_last: float) -> WeightSequence
     c_1 .. c_N, leaving c_{N+1} = h_last: the inequality then bounds the
     final gap directly.
     """
-    v = np.array([1.0 / s(alpha, N + 1 - k) for k in range(N + 1)] + [s(alpha, 1)])
+    values = list(islice(iter_s(alpha), N + 1))  # s_{alpha,1} .. s_{alpha,N+1}
+    v = np.array([1.0 / value for value in reversed(values)] + [values[0]])
     return WeightSequence(v, h_last)
 
 
@@ -209,19 +210,15 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
     alpha-family bound collapses to 1 - N h.  Bisects on
     [1, max(1, 1/sqrt(h))] to absolute tolerance ``tol``.
     """
-
-    def grown(alpha: float) -> float:  # s_{alpha,N+1}
-        return next(islice(iter_s(alpha), N, None))
-
     target = 1.0 / math.sqrt(h)
-    if grown(1.0) > target * (1.0 + 1e-15):
+    if s(1.0, N + 1) > target * (1.0 + 1e-15):
         raise StepOutOfRange(
             f"h={h} is past the knee for N={N}; no seed >= 1 matches"
         )
     lo, hi = 1.0, max(1.0, target)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if grown(mid) < target:
+        if s(mid, N + 1) < target:
             lo = mid
         else:
             hi = mid

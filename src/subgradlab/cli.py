@@ -20,6 +20,7 @@ import io
 import json
 import math
 import sys
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -48,30 +49,35 @@ SWEEP_COLUMNS = COLUMNS + ["bound_log"]
 
 SLACK_FLOOR = -1e-9
 
-# method -> (the `run` flag holding its step parameter, schedule from
-# (N, param), last-iterate rate per B*R from (N, param) or None)
+
+class _Method(NamedTuple):
+    flag: str | None  # the `run` flag holding the step parameter
+    schedule: Callable[[int, Any], solver.StepSchedule]  # from (N, param)
+    rate: Callable[[int, Any], float] | None  # last-iterate rate per B*R
+
+
 _METHODS = {
-    "constant": (
+    "constant": _Method(
         "h",
         lambda N, h: solver.StepSchedule.constant_normalized(h),
         lambda N, h: rates.constant_step_rate(N, h),
     ),
-    "length": (
+    "length": _Method(
         "t",
         lambda N, t: solver.StepSchedule.constant_length(t),
         lambda N, t: rates.constant_length_rate(N, t),
     ),
-    "optimal": (
+    "optimal": _Method(
         None,
         lambda N, _: solver.StepSchedule.optimal_last_iterate(N),
         lambda N, _: rates.optimal_method_rate(N),
     ),
-    "optimal-length": (
+    "optimal-length": _Method(
         None,
         lambda N, _: solver.StepSchedule.optimal_length(N),
         lambda N, _: rates.optimal_method_rate(N),
     ),
-    "custom": (None, lambda N, steps: solver.StepSchedule.custom(steps), None),
+    "custom": _Method(None, lambda N, steps: solver.StepSchedule.custom(steps), None),
 }
 
 
@@ -174,7 +180,7 @@ def _cell_row(
     avgg = solver.avg_gap(trace, p, extended)
     bound_best = solver.best_iterate_bound(extended, p.B, p.R)
 
-    rate = _METHODS[args.method][2]
+    rate = _METHODS[args.method].rate
     bound_last = None if rate is None else BR * rate(N, param)
 
     slacks = [bound_best - bestg]
@@ -208,12 +214,12 @@ def _cmd_run(args) -> int:
     if N < 1:
         raise CliError(f"--N must be >= 1, got {N}")
     p = _instance(args, N, args.h)
-    flag, make_schedule, _ = _METHODS[args.method]
-    param = None if flag is None else getattr(args, flag)
-    if flag is not None and param is None:
-        raise CliError(f"--method {args.method} requires --{flag}")
+    method = _METHODS[args.method]
+    param = None if method.flag is None else getattr(args, method.flag)
+    if method.flag is not None and param is None:
+        raise CliError(f"--method {args.method} requires --{method.flag}")
     steps = _custom_steps(args) if args.method == "custom" else param
-    row = _cell_row(args, N, param, p, make_schedule(N, steps))
+    row = _cell_row(args, N, param, p, method.schedule(N, steps))
     _write_rows([row], COLUMNS, args.format, args.out)
     if row["slack"] < SLACK_FLOOR:
         print(
@@ -250,7 +256,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     n_values = _parse_n_list(args.N_list)
-    has_step = _METHODS[args.method][0] is not None
+    has_step = _METHODS[args.method].flag is not None
     if has_step != (args.h_grid is not None):
         need = "needs" if has_step else "takes no"
         raise CliError(f"--method {args.method} {need} --h-grid")
@@ -262,7 +268,7 @@ def _cmd_sweep(args) -> int:
         )
 
     cells = [(N, h) for N in n_values for h in grid]
-    make_schedule = _METHODS[args.method][1]
+    make_schedule = _METHODS[args.method].schedule
 
     def work(cell):
         N, h = cell
@@ -312,7 +318,7 @@ def _cmd_certify(args) -> int:
         directions = int(rng.integers(1, 2 * dim + 1))
         p = worstcase.random_instance(dim, directions, seed=rng)
         method, draw = draws[trial % len(draws)]
-        schedule = _METHODS[method][1](N, draw(rng))
+        schedule = _METHODS[method].schedule(N, draw(rng))
         trace = solver.run(p, schedule, N=N)
 
         v = np.sort(rng.uniform(0.05, 2.0, N + 2))

@@ -17,13 +17,12 @@ from typing import Iterator
 
 from .errors import AlphaOutOfRange, InvariantViolation
 
-# Growing lists s_{alpha,1}, s_{alpha,2}, ... for the CACHE_SEEDS seeds
-# extended most recently, keyed by the exact float.  Entries are only ever
-# appended, under the lock and by ``iter_s``, so every query sees
-# bit-identical values whatever order the cache was filled or emptied in.
-CACHE_SEEDS = 16
-_CACHE: dict[float, list[float]] = {}
-_CACHE_LOCK = threading.Lock()
+# The growing list s_{1,1}, s_{1,2}, ... of the unit seed, the one seed the
+# rates and the worst-case instances ask for over and over; other seeds are
+# recomputed by ``iter_s`` on each call.  The list is only ever appended to,
+# under the lock and by ``iter_s``, so every query sees bit-identical values.
+_UNIT: list[float] = [1.0]
+_UNIT_LOCK = threading.Lock()
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -36,28 +35,19 @@ def _validate_alpha(alpha: float) -> float:
 def s(alpha: float, k: int) -> float:
     """Return s_{alpha,k} for integer k >= 1.
 
-    Values are memoized for the ``CACHE_SEEDS`` seeds extended most recently,
-    so repeated queries cost one list lookup.
+    Values of the unit seed are memoized, so repeated queries cost one list
+    lookup; any other seed costs k - 1 steps of the recursion.
     """
-    return _prefix(alpha, k)[k - 1]
-
-
-def _prefix(alpha: float, k: int) -> list[float]:
-    """The cached list s_{alpha,1}, s_{alpha,2}, ... holding at least k values."""
     alpha = _validate_alpha(alpha)
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    values = _CACHE.get(alpha)
-    if values is not None and len(values) >= k:
-        return values
-    with _CACHE_LOCK:
-        values = _CACHE.pop(alpha, None) or [alpha]
-        if len(_CACHE) >= CACHE_SEEDS:
-            del _CACHE[next(iter(_CACHE))]  # the seed extended longest ago
-        _CACHE[alpha] = values
-        if len(values) < k:  # another thread may have extended it already
-            values.extend(islice(iter_s(values[-1]), 1, k - len(values) + 1))
-    return values
+    if alpha != 1.0:
+        return next(islice(iter_s(alpha), k - 1, None))
+    if len(_UNIT) < k:
+        with _UNIT_LOCK:
+            if len(_UNIT) < k:  # another thread may have extended it already
+                _UNIT.extend(islice(iter_s(_UNIT[-1]), 1, k - len(_UNIT) + 1))
+    return _UNIT[k - 1]
 
 
 def iter_s(alpha: float) -> Iterator[float]:
@@ -85,7 +75,7 @@ def s_identity_check(alpha: float, k: int) -> tuple[float, float]:
     alpha = _validate_alpha(alpha)
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    values = _prefix(alpha, k + 1)
+    values = list(islice(iter_s(alpha), k + 1))
     sum_inv = math.fsum(1.0 / values[i] for i in range(k))
     sum_inv_sq = math.fsum(1.0 / values[i] ** 2 for i in range(k))
     res_sum = abs(values[k] - (alpha + sum_inv))

@@ -120,38 +120,35 @@ def test_square_grows_like_2k(k):
     assert val * val <= 2.0 * k + 0.5 * math.log(max(k - 1, 1)) + 1.0
 
 
-def test_cache_stays_bounded_over_many_seeds():
-    alphas = [1.0 + i / 997.0 for i in range(1000)]
-    for alpha in alphas:
+def test_only_the_unit_seed_is_memoized(monkeypatch):
+    monkeypatch.setattr(sequences, "_UNIT", [1.0])
+    for alpha in [1.0 + i / 997.0 for i in range(1, 1000)]:
         alpha_family_bound(100, 0.01, alpha)
-    assert len(sequences._CACHE) <= sequences.CACHE_SEEDS
-    assert sum(map(len, sequences._CACHE.values())) <= sequences.CACHE_SEEDS * 101
-    # evicted and refilled seeds give the same bits as a fresh recursion
-    for alpha in alphas[::97] + [alphas[-1]]:
+        s_identity_check(alpha, 50)
+    assert sequences._UNIT == [1.0]
+    # other seeds still give the bits of a fresh recursion
+    for alpha in (1.25, 1.7, 3.0):
         fresh = list(islice(iter_s(alpha), 120))
         assert [s(alpha, k) for k in range(1, 121)] == fresh
-        assert max(s_identity_check(alpha, 50)) <= 1e-9
-    assert len(sequences._CACHE) <= sequences.CACHE_SEEDS
+    s(1.0, 101)
+    assert sequences._UNIT == list(islice(iter_s(1.0), 101))
 
 
-def test_cache_is_exact_under_threads():
-    alphas = [1.0 + i / 7.0 for i in range(3 * sequences.CACHE_SEEDS)]
-    expected = {a: list(islice(iter_s(a), 300)) for a in alphas}
+def test_unit_cache_is_exact_under_threads(monkeypatch):
+    expected = list(islice(iter_s(1.0), 10_000))
 
     def work(offset):
-        wrong = []
-        for i in range(400):
-            alpha = alphas[(offset + i) % len(alphas)]
-            k = 1 + (offset * 31 + i * 17) % 300
-            if s(alpha, k) != expected[alpha][k - 1]:
-                wrong.append((alpha, k))
-        return wrong
+        # every thread asks for ever larger k, so they race to extend the list
+        ks = [1 + 50 * i + 13 * offset for i in range(199)]
+        return [k for k in ks if s(1.0, k) != expected[k - 1]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often enough to interleave
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:  # re-raises worker errors
-            assert list(pool.map(work, range(4))) == [[], [], [], []]
+        for _ in range(10):
+            monkeypatch.setattr(sequences, "_UNIT", [1.0])
+            with ThreadPoolExecutor(max_workers=4) as pool:  # re-raises worker errors
+                assert list(pool.map(work, range(4))) == [[], [], [], []]
+            assert sequences._UNIT == expected[: len(sequences._UNIT)]
     finally:
         sys.setswitchinterval(interval)
-    assert len(sequences._CACHE) <= sequences.CACHE_SEEDS
