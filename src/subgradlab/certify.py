@@ -36,6 +36,7 @@ from .errors import (
     MonotonicityViolation,
     StepOutOfRange,
 )
+from .rates import _validate_scale, _validate_step
 from .sequences import iter_s, s
 from .solver import RunTrace
 
@@ -57,10 +58,8 @@ class WeightSequence:
             raise MonotonicityViolation(
                 "weights must be positive and non-decreasing"
             )
-        if not math.isfinite(self.h_last) or self.h_last <= 0:
-            raise StepOutOfRange(f"h_last must be positive, got {self.h_last}")
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "h_last", float(self.h_last))
+        object.__setattr__(self, "h_last", _validate_step(self.h_last, "h_last"))
 
     @property
     def horizon(self) -> int:
@@ -154,6 +153,7 @@ def optimal_step_weights(N: int, B: float = 1.0, R: float = 1.0) -> WeightSequen
     h_{N+1} = R / (B (N+1)^{3/2}).  On that schedule's realized steps they
     give c_k = 0 for k <= N and c_{N+1} = 1 exactly.
     """
+    B, R = _validate_scale(B, R)
     scale = (N + 1) ** 0.75 * math.sqrt(B / R)
     v = np.array([scale / (N + 1 - k) for k in range(N + 1)] + [0.0])
     v[N + 1] = v[N]
@@ -174,10 +174,10 @@ def recursive_weights(
     ``MonotonicityViolation``.
     """
     steps = np.asarray(steps, dtype=np.float64)
-    if math.isfinite(alpha) is False or alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _validate_step(alpha, "alpha")
+    h_last = _validate_step(h_last, "h_last")
     N = len(steps)
-    h = np.append(steps, float(h_last))
+    h = np.append(steps, h_last)
     v = np.zeros(N + 2)
     v[N + 1] = alpha
     for k in range(N, -1, -1):
@@ -197,8 +197,7 @@ def alpha_family_bound(N: int, h: float, alpha: float) -> float:
     alpha = 1 the expression equals the long-step branch, and for small h
     the seed found by ``matching_alpha`` collapses the square entirely.
     """
-    if h <= 0:
-        raise StepOutOfRange(f"h must be positive, got {h}")
+    h = _validate_step(h)
     z = s(alpha, N + 1) * math.sqrt(h)
     return 0.5 * (z - 1.0 / z) ** 2 + 1.0 - N * h
 
@@ -210,7 +209,7 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
     alpha-family bound collapses to 1 - N h.  Bisects on
     [1, max(1, 1/sqrt(h))] to absolute tolerance ``tol``.
     """
-    target = 1.0 / math.sqrt(h)
+    target = 1.0 / math.sqrt(_validate_step(h))
     if s(1.0, N + 1) > target * (1.0 + 1e-15):
         raise StepOutOfRange(
             f"h={h} is past the knee for N={N}; no seed >= 1 matches"

@@ -28,7 +28,6 @@ from . import certify as certify_mod
 from . import rates, solver, worstcase
 from .core import ProblemInstance, scale_instance
 from .errors import SubgradLabError
-from .sequences import s
 
 COLUMNS = [
     "method",
@@ -134,12 +133,10 @@ def _instance(args, N: int, h: float | None, shared_random=None) -> ProblemInsta
     requested B and R.  ``worstcase`` picks the tight construction for the
     cell's side of the knee; ``shared_random`` stands in for a fresh random
     instance."""
-    B, R = args.B, args.R
-    if B <= 0 or R <= 0:
-        raise CliError(f"B and R must be positive, got B={B}, R={R}")
+    B, R = rates._validate_scale(args.B, args.R)
     key = args.instance
     if key == "worstcase":
-        key = "longstep" if h is not None and h > 1.0 / s(1.0, N + 1) ** 2 else "abs"
+        key = "longstep" if h is not None and h > rates.knee(N) else "abs"
     if key == "abs":
         return worstcase.abs_instance(B, R)
     if key == "longstep":
@@ -210,9 +207,7 @@ def _cell_row(
 
 
 def _cmd_run(args) -> int:
-    N = args.N
-    if N < 1:
-        raise CliError(f"--N must be >= 1, got {N}")
+    N = rates._validate_horizon(args.N)
     p = _instance(args, N, args.h)
     method = _METHODS[args.method]
     param = None if method.flag is None else getattr(args, method.flag)
@@ -248,8 +243,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(tok) for tok in parts)
     except ValueError as exc:
         raise CliError(f"--h-grid must hold numbers: {exc}") from exc
-    if step <= 0 or lo <= 0 or hi < lo:
-        raise CliError("--h-grid needs 0 < min <= max and step > 0")
+    if not (0 < lo <= hi < math.inf and 0 < step < math.inf):
+        raise CliError("--h-grid needs finite numbers with 0 < min <= max and step > 0")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(count)]
 
@@ -267,22 +262,15 @@ def _cmd_sweep(args) -> int:
             args.dim, args.directions, seed=args.seed
         )
 
-    cells = [(N, h) for N in n_values for h in grid]
     make_schedule = _METHODS[args.method].schedule
-
-    def work(cell):
-        N, h = cell
-        p = _instance(args, N, h, shared_random)
-        return _cell_row(args, N, h, p, make_schedule(N, h), include_log_bound=True)
-
-    if args.parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(work, cells))
-    else:
-        rows = [work(c) for c in cells]
-
+    rows = [
+        _cell_row(
+            args, N, h, _instance(args, N, h, shared_random), make_schedule(N, h),
+            include_log_bound=True,
+        )
+        for N in n_values
+        for h in grid
+    ]
     _write_rows(rows, SWEEP_COLUMNS, args.format, args.out)
     worst = min(row["slack"] for row in rows)
     if worst < SLACK_FLOOR:
@@ -298,9 +286,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_certify(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
-    N = args.N
-    if N < 1:
-        raise CliError(f"--N must be >= 1, got {N}")
+    N = rates._validate_horizon(args.N)
 
     draws = (  # each method's step parameter, drawn in trial order
         ("constant", lambda rng: rng.uniform(0.05, 1.2)),
@@ -389,7 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="worstcase",
         help="'worstcase' picks the tight construction per cell",
     )
-    sweep_p.add_argument("--parallel", type=int, default=1, help="worker threads")
+    sweep_p.add_argument(
+        "--parallel", type=int, default=1,
+        help="accepted for compatibility; cells run serially with the same output",
+    )
     common(sweep_p)
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -23,6 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import IncompatibleLength, ScriptedPieceInactive
+from .rates import _validate_scale
 
 # Subgradients with norm at or below this are treated as exact zeros
 # (the method has hit a minimizer and stops moving).
@@ -272,10 +273,7 @@ def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
     """
     if abs(p.B - 1.0) > 1e-12 or abs(p.R - 1.0) > 1e-12:
         raise ValueError("scale_instance expects a normalized instance with B = R = 1")
-    B = float(B)
-    R = float(R)
-    if B <= 0 or R <= 0:
-        raise ValueError(f"scale constants must be positive, got B={B}, R={R}")
+    B, R = _validate_scale(B, R)
     inner_oracle = p.oracle
     inner_projection = p.projection
 

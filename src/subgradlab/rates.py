@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import InvariantViolation, OptimizationFailed, StepOutOfRange
+import numpy as np
+
+from .errors import EmptySchedule, InvariantViolation, OptimizationFailed, StepOutOfRange
 from .sequences import s
 
 
@@ -27,6 +29,29 @@ def _validate_step(h: float, name: str = "h") -> float:
     if not math.isfinite(h) or h <= 0:
         raise StepOutOfRange(f"{name} must be a finite positive number, got {h}")
     return h
+
+
+def _validate_steps(h) -> np.ndarray:
+    h = np.asarray(h, dtype=np.float64)
+    if h.size == 0:
+        raise EmptySchedule("need at least one step")
+    if not np.all(np.isfinite(h) & (h > 0)):
+        raise StepOutOfRange("steps must be finite and positive")
+    return h
+
+
+def _validate_scale(B: float, R: float) -> tuple[float, float]:
+    B, R = float(B), float(R)
+    if not (0 < B < math.inf and 0 < R < math.inf):
+        raise ValueError(f"B and R must be finite and positive, got B={B}, R={R}")
+    return B, R
+
+
+def knee(N: int) -> float:
+    """The step 1 / s_{N+1}^2 at which the constant-step worst case switches
+    from the straight walk to the long-step construction."""
+    N = _validate_horizon(N)
+    return 1.0 / s(1.0, N + 1) ** 2
 
 
 def constant_step_rate(N: int, h: float) -> float:
@@ -90,7 +115,7 @@ def weakened_rate_bounds(N: int, h: float) -> WeakenedRateBounds:
     quarter_log = 0.25 * math.log(N)
     log_form = (1.0 + quarter_log) * h + 1.0 / (4.0 * (N + 1) * h)
     optimal_log_form = math.sqrt(1.0 + quarter_log) / math.sqrt(N + 1)
-    if h > 1.0 / s(1.0, N + 1) ** 2 and constant_step_rate(N, h) > log_form + 1e-12:
+    if h > knee(N) and constant_step_rate(N, h) > log_form + 1e-12:
         raise InvariantViolation(f"log form {log_form} is below the rate at N={N}, h={h}")
     if optimal_constant_step(N).rate > optimal_log_form + 1e-12:
         raise InvariantViolation(f"optimal log form {optimal_log_form} is too low at N={N}")

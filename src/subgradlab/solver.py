@@ -12,21 +12,14 @@ solver treats the instance as a black box: it never reads ``f_star`` or
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import ProblemInstance, as_point
-from .errors import (
-    EmptySchedule,
-    IncompatibleLength,
-    InfeasibleReference,
-    ScheduleExhausted,
-    StepOutOfRange,
-)
-from .rates import _validate_horizon, _validate_step
+from .errors import IncompatibleLength, InfeasibleReference, ScheduleExhausted
+from .rates import _validate_horizon, _validate_scale, _validate_step, _validate_steps
 
 
 @dataclass(frozen=True)
@@ -54,11 +47,7 @@ class StepSchedule:
 
     @classmethod
     def custom(cls, steps: Sequence[float]) -> "StepSchedule":
-        steps = tuple(float(v) for v in steps)
-        if not steps:
-            raise EmptySchedule("a custom schedule needs at least one step")
-        if any(not math.isfinite(v) or v <= 0 for v in steps):
-            raise StepOutOfRange("custom steps must be finite and positive")
+        steps = tuple(_validate_steps(steps).tolist())
         return cls(lambda k, B, R: steps[k - 1], max_steps=len(steps))
 
     @classmethod
@@ -245,8 +234,7 @@ def avg_gap(trace: RunTrace, p: ProblemInstance, h: Sequence[float]) -> float:
         raise IncompatibleLength(
             f"need {trace.horizon + 1} step values (including h_(N+1)), got {h.shape}"
         )
-    if np.any(h <= 0):
-        raise StepOutOfRange("averaging weights need positive steps")
+    _validate_steps(h)
     weights = h / h.sum()
     x_avg = weights @ trace.points
     return _settle_gap(float(p.evaluate(x_avg).value) - p.f_star, p)
@@ -261,13 +249,6 @@ def best_iterate_bound(h: Sequence[float], B: float, R: float) -> float:
     sequence, so callers are free to extend a realized schedule by any
     positive h_{N+1}.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.size == 0:
-        raise EmptySchedule("the best-iterate bound needs at least one step")
-    if np.any(h <= 0) or not np.all(np.isfinite(h)):
-        raise StepOutOfRange("steps must be finite and positive")
-    B = float(B)
-    R = float(R)
-    if B <= 0 or R <= 0:
-        raise ValueError(f"B and R must be positive, got B={B}, R={R}")
+    h = _validate_steps(h)
+    B, R = _validate_scale(B, R)
     return float((R * R + B * B * np.sum(h * h)) / (2.0 * np.sum(h)))

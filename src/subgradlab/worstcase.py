@@ -25,10 +25,12 @@ from .rates import (
     TWO_STEP_KNEE,
     RateReport,
     _validate_horizon,
+    _validate_scale,
     _validate_step,
     constant_step_rate,
+    knee,
 )
-from .sequences import iter_s, s
+from .sequences import iter_s
 from .solver import StepSchedule, last_gap, run
 
 
@@ -39,10 +41,7 @@ def abs_instance(B: float = 1.0, R: float = 1.0) -> ProblemInstance:
     iterates walk straight toward 0 and the final gap is exactly
     B R (1 - N h).
     """
-    B = float(B)
-    R = float(R)
-    if B <= 0 or R <= 0:
-        raise ValueError(f"B and R must be positive, got B={B}, R={R}")
+    B, R = _validate_scale(B, R)
     pieces = PiecewiseLinearMax(
         slopes=np.array([[B], [-B]]), intercepts=np.zeros(2)
     )
@@ -104,7 +103,7 @@ def long_step_instance(N: int, h: float, scripted: bool = True) -> ProblemInstan
 
     x_start = np.zeros(N + 1)
     x_start[0] = 1.0
-    instance = instance_from_pieces(
+    return instance_from_pieces(
         pieces,
         f_star=0.0,
         x_star=np.zeros(N + 1),
@@ -113,9 +112,6 @@ def long_step_instance(N: int, h: float, scripted: bool = True) -> ProblemInstan
         R=1.0,
         name=f"longstep(N={N},h={h})",
     )
-    if abs(instance.evaluate(np.zeros(N + 1)).value) > 1e-12:
-        raise InvariantViolation("the long-step function is not 0 at the origin")
-    return instance
 
 
 def two_step_schedule(h2: float) -> StepSchedule:
@@ -267,8 +263,7 @@ def tightness_report(N: int, h: float) -> RateReport:
     bug in either the formula or the construction.
     """
     predicted = constant_step_rate(N, h)  # validates N and h
-    knee = 1.0 / s(1.0, N + 1) ** 2
-    if h <= knee:
+    if h <= knee(N):
         instance = abs_instance()
         regime = "short_step"
     else:

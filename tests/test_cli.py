@@ -133,6 +133,26 @@ def test_invalid_flags_exit_two(capsys):
         assert err != "", argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--instance", "random", "--method", "optimal", "--N", "3", "--B", "nan"),
+        ("run", "--instance", "random", "--method", "optimal", "--N", "3", "--B", "inf"),
+        ("sweep", "--instance", "abs", "--method", "optimal", "--N-list", "3",
+         "--R", "nan"),
+        ("sweep", "--N-list", "2", "--h-grid", "0.1:inf:0.1"),
+        ("sweep", "--N-list", "2", "--h-grid", "nan:1:0.1"),
+        ("sweep", "--N-list", "2", "--h-grid", "0.1:0.2:inf"),
+    ],
+)
+def test_non_finite_parameters_exit_two_without_traceback(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_steps_file_roundtrip(tmp_path, capsys):
     steps = tmp_path / "steps.txt"
     steps.write_text("0.2 0.1\n0.05\n")

@@ -6,18 +6,29 @@ from hypothesis import strategies as st
 
 from subgradlab import (
     StepOutOfRange,
+    StepSchedule,
+    WeightSequence,
+    alpha_family_bound,
+    avg_gap,
+    best_iterate_bound,
     classical_lower_bound,
     constant_length_rate,
     constant_step_rate,
     lower_bound,
+    matching_alpha,
     no_universal_step_certificate,
     optimal_constant_step,
     optimal_method_rate,
+    optimal_step_weights,
+    recursive_weights,
+    run,
+    scale_instance,
     two_step_worst_gap,
     weakened_rate_bounds,
 )
-from subgradlab.rates import TWO_STEP_FIRST, TWO_STEP_KNEE, RateReport
+from subgradlab.rates import TWO_STEP_FIRST, TWO_STEP_KNEE, RateReport, knee
 from subgradlab.sequences import s
+from subgradlab.worstcase import abs_instance
 
 # Frozen by independent hand computation (see the short-step branch 1 - N*h
 # and the long-step branch (s^2/2 - N)*h + 1/(2*s^2*h) with s = s(1, N+1)).
@@ -132,6 +143,51 @@ def test_validators():
         constant_step_rate(3, 0.0)
     with pytest.raises(ValueError):
         optimal_method_rate(0)
+
+
+def _abs_avg_gap(weights):
+    p = abs_instance()
+    return avg_gap(run(p, StepSchedule.constant_normalized(0.1), N=2), p, weights)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alpha_family_bound(3, math.nan, 1.0),
+        lambda: matching_alpha(3, 0.0),
+        lambda: _abs_avg_gap([0.1, 0.1, math.nan]),
+        lambda: _abs_avg_gap([0.1, math.inf, 0.1]),
+        lambda: optimal_step_weights(3, B=-1.0),
+        lambda: optimal_step_weights(3, B=0.0),
+        lambda: scale_instance(abs_instance(), math.nan, 1.0),
+        lambda: abs_instance(1.0, math.inf),
+        lambda: best_iterate_bound([0.1], math.nan, 1.0),
+        lambda: best_iterate_bound([0.1, math.inf], 1.0, 1.0),
+        lambda: StepSchedule.custom([0.1, math.nan]),
+        lambda: WeightSequence([1.0, 2.0], h_last=math.inf),
+        lambda: recursive_weights([0.1, 0.1], 0.1, math.nan),
+        lambda: recursive_weights([0.1, 0.1], 0.0, 1.0),
+    ],
+    ids=[
+        "alpha_family_bound-nan-h", "matching_alpha-zero-h", "avg_gap-nan-weight",
+        "avg_gap-inf-weight", "optimal_step_weights-negative-B",
+        "optimal_step_weights-zero-B", "scale_instance-nan-B", "abs_instance-inf-R",
+        "best_iterate_bound-nan-B", "best_iterate_bound-inf-step",
+        "custom-nan-step", "weights-inf-h_last", "recursive_weights-nan-alpha",
+        "recursive_weights-zero-h_last",
+    ],
+)
+def test_non_finite_or_nonpositive_parameters_raise_value_errors(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 50])
+def test_knee_joins_the_two_branches(N):
+    h = knee(N)
+    assert h == 1.0 / s(1.0, N + 1) ** 2
+    assert constant_step_rate(N, h) == 1.0 - N * h
+    assert constant_step_rate(N, h * (1 + 1e-9)) == pytest.approx(1.0 - N * h, abs=1e-8)
 
 
 def test_rate_report_slack():
