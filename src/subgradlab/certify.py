@@ -102,8 +102,6 @@ def verify_lemma(
     rounding.  Queries the oracle twice: for the subgradient at the final
     point (iteration index N+1) and for the value at ``x_hat``.
     """
-    if trace.record_mode != "full":
-        raise ValueError("verification needs a trace recorded in full mode")
     if trace.horizon != w.horizon:
         raise IncompatibleLength(
             f"trace ran {trace.horizon} steps, weights expect {w.horizon}"

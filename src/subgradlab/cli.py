@@ -243,7 +243,10 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(tok) for tok in parts)
     except ValueError as exc:
         raise CliError(f"--h-grid must hold numbers: {exc}") from exc
-    if not (0 < lo <= hi < math.inf and 0 < step < math.inf):
+    # The last test catches a cell count that overflows to inf.
+    if not (
+        0 < lo <= hi < math.inf and 0 < step < math.inf and (hi - lo) / step < math.inf
+    ):
         raise CliError("--h-grid needs finite numbers with 0 < min <= max and step > 0")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(count)]

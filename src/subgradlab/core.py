@@ -121,16 +121,19 @@ class PiecewiseLinearMax:
         return float(np.max(np.linalg.norm(self.slopes, axis=1)))
 
 
-def eval_plmax(f: PiecewiseLinearMax, x: np.ndarray, k: int | None = None) -> SubgradientSample:
-    """Evaluate a piecewise-linear max at ``x``.
+def eval_plmax(
+    f: PiecewiseLinearMax, x: np.ndarray, k: int | None = None, *, B: float = 1.0, R: float = 1.0
+) -> SubgradientSample:
+    """Evaluate B * R * f(x / R), the piecewise-linear max dilated by (B, R).
 
-    The returned value is the true maximum.  The subgradient is the slope of
-    the scripted piece for iteration ``k`` when a script entry exists, and of
-    the highest-index active piece otherwise.  A piece counts as active when
-    its value is within ``active_tol * (1 + |max|)`` of the maximum.
+    The returned value is the true maximum.  The subgradient is B times the
+    slope of the scripted piece for iteration ``k`` when a script entry
+    exists, and of the highest-index active piece otherwise.  A piece counts
+    as active when its value at x / R is within ``active_tol * (1 + |max|)``
+    of the maximum there, so the choice does not depend on (B, R).  With the
+    default B = R = 1 every scaling operation is exact.
     """
-    x = np.asarray(x, dtype=np.float64)
-    vals = f.slopes @ x + f.intercepts
+    vals = f.slopes @ (np.asarray(x, dtype=np.float64) / R) + f.intercepts
     fmax = float(np.max(vals))
     threshold = fmax - f.active_tol * (1.0 + abs(fmax))
     if f.scripted_choices is not None and k is not None and k in f.scripted_choices:
@@ -142,7 +145,7 @@ def eval_plmax(f: PiecewiseLinearMax, x: np.ndarray, k: int | None = None) -> Su
             )
     else:
         piece = int(np.nonzero(vals >= threshold)[0][-1])
-    return SubgradientSample.of(fmax, f.slopes[piece])
+    return SubgradientSample.of(B * R * fmax, B * f.slopes[piece])
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ def project_ball(center, radius: float) -> Projection:
     """Projection onto the Euclidean ball of given center and radius."""
     center = np.asarray(center, dtype=np.float64)
     radius = float(radius)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
     def proj(y: np.ndarray) -> np.ndarray:
@@ -265,27 +268,30 @@ def project_ball(center, radius: float) -> Projection:
 
 
 def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
-    """Rescale a normalized instance (B = R = 1) to arbitrary constants.
+    """Rescale a normalized piecewise-linear instance (B = R = 1).
 
     The new objective is f'(x) = B * R * f(x / R) over the dilated feasible
     set R * X, which maps minimizers to R * x_star and keeps every rate in
-    the package exact after multiplying by B * R.
+    the package exact after multiplying by B * R.  The oracle stays
+    ``eval_plmax`` on the same pieces, with (B, R) bound next to them, so a
+    scaled run answers through the same path as an unscaled one.  Instances
+    with any other oracle raise ``ValueError``.
     """
     if abs(p.B - 1.0) > 1e-12 or abs(p.R - 1.0) > 1e-12:
         raise ValueError("scale_instance expects a normalized instance with B = R = 1")
     B, R = _validate_scale(B, R)
-    inner_oracle = p.oracle
+    oracle = p.oracle
+    if not (isinstance(oracle, partial) and oracle.func is eval_plmax):
+        raise ValueError(f"scale_instance needs a piecewise-linear oracle, {p.name} has another")
     inner_projection = p.projection
-
-    def oracle(x: np.ndarray, k: int | None = None) -> SubgradientSample:
-        inner = inner_oracle(np.asarray(x, dtype=np.float64) / R, k)
-        return SubgradientSample.of(B * R * inner.value, B * inner.subgradient)
 
     def projection(y: np.ndarray) -> np.ndarray:
         return R * inner_projection(np.asarray(y, dtype=np.float64) / R)
 
     return ProblemInstance(
-        oracle=oracle,
+        oracle=partial(
+            oracle, B=B * oracle.keywords.get("B", 1.0), R=R * oracle.keywords.get("R", 1.0)
+        ),
         projection=projection,
         f_star=B * R * p.f_star,
         B=B,

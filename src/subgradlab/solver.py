@@ -103,24 +103,24 @@ class StepSchedule:
 class RunTrace:
     """Everything the method produced over one run of N iterations.
 
-    ``values`` holds f(x^1) .. f(x^{N+1}) and ``steps`` the N step sizes
-    actually applied.  In ``full`` record mode ``points`` is the
-    (N+1) x dim array of iterates and ``subgradients`` the N x dim array of
-    oracle answers; ``values_only`` mode drops both and keeps just the final
-    iterate.
+    ``values`` holds f(x^1) .. f(x^{N+1}), ``steps`` the N step sizes
+    actually applied, ``points`` the (N+1) x dim array of iterates and
+    ``subgradients`` the N x dim array of oracle answers.
     """
 
     values: np.ndarray
     steps: np.ndarray
-    last_point: np.ndarray
-    points: np.ndarray | None
-    subgradients: np.ndarray | None
+    points: np.ndarray
+    subgradients: np.ndarray
     terminated_early: bool
-    record_mode: str
 
     @property
     def horizon(self) -> int:
         return len(self.steps)
+
+    @property
+    def last_point(self) -> np.ndarray:
+        return self.points[-1]
 
 
 def run(
@@ -128,7 +128,6 @@ def run(
     schedule: StepSchedule,
     x1=None,
     N: int | None = None,
-    record_mode: str = "full",
 ) -> RunTrace:
     """Run N projected subgradient iterations from x1.
 
@@ -139,8 +138,6 @@ def run(
     slots are padded with nominal positive values, and the trace is flagged
     ``terminated_early``.
     """
-    if record_mode not in ("full", "values_only"):
-        raise ValueError(f"unknown record mode {record_mode!r}")
     if N is None:
         if schedule.N is None:
             raise ValueError("N is required for schedules without a planned horizon")
@@ -155,35 +152,30 @@ def run(
     if not p.is_feasible(x):
         raise InfeasibleReference("initial point is not in the feasible set")
 
-    full = record_mode == "full"
     values = np.empty(N + 1)
     steps = np.empty(N)
-    points = np.empty((N + 1, p.dimension)) if full else None
-    subgradients = np.empty((N, p.dimension)) if full else None
-    if full:
-        points[0] = x
+    points = np.empty((N + 1, p.dimension))
+    subgradients = np.empty((N, p.dimension))
+    points[0] = x
     terminated_early = False
 
     for k in range(1, N + 1):
         sample = p.evaluate(x, k)
         values[k - 1] = sample.value
         g = sample.subgradient
-        if full:
-            subgradients[k - 1] = g
+        subgradients[k - 1] = g
         if sample.is_zero:
             terminated_early = True
             values[k - 1 :] = sample.value
             for j in range(k, N + 1):
                 steps[j - 1] = schedule.nominal_step(j, p)
-            if full:
-                points[k - 1 :] = x
-                subgradients[k - 1 :] = g
+            points[k:] = x
+            subgradients[k - 1 :] = g
             break
         h_k = schedule.step_size(k, p, sample.norm)
         steps[k - 1] = h_k
         x = p.projection(x - h_k * g)
-        if full:
-            points[k] = x
+        points[k] = x
 
     if not terminated_early:
         values[N] = p.evaluate(x, N + 1).value
@@ -191,11 +183,9 @@ def run(
     return RunTrace(
         values=values,
         steps=steps,
-        last_point=x.copy(),
         points=points,
         subgradients=subgradients,
         terminated_early=terminated_early,
-        record_mode=record_mode,
     )
 
 
@@ -225,10 +215,7 @@ def avg_gap(trace: RunTrace, p: ProblemInstance, h: Sequence[float]) -> float:
 
     ``h`` must contain N+1 values: the N realized steps extended by one more
     positive h_{N+1}; the average uses weights h_k / sum(h) over x^1..x^{N+1}.
-    Requires a full-mode trace (the averaged point must be reconstructed).
     """
-    if trace.record_mode != "full":
-        raise ValueError("avg_gap needs a trace recorded in full mode")
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or len(h) != trace.horizon + 1:
         raise IncompatibleLength(

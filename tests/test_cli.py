@@ -143,6 +143,7 @@ def test_invalid_flags_exit_two(capsys):
         ("sweep", "--N-list", "2", "--h-grid", "0.1:inf:0.1"),
         ("sweep", "--N-list", "2", "--h-grid", "nan:1:0.1"),
         ("sweep", "--N-list", "2", "--h-grid", "0.1:0.2:inf"),
+        ("sweep", "--N-list", "2", "--h-grid", "0.1:1e300:1e-10"),
     ],
 )
 def test_non_finite_parameters_exit_two_without_traceback(capsys, argv):

@@ -6,7 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from subgradlab import (
     PiecewiseLinearMax,
+    ProblemInstance,
     ScriptedPieceInactive,
+    StepSchedule,
     SubgradientSample,
     check_instance,
     eval_plmax,
@@ -14,9 +16,16 @@ from subgradlab import (
     project_all,
     project_ball,
     project_box,
+    run,
     scale_instance,
 )
-from subgradlab.worstcase import abs_instance, random_instance
+from subgradlab.rates import TWO_STEP_FIRST
+from subgradlab.worstcase import (
+    abs_instance,
+    long_step_instance,
+    random_instance,
+    two_step_worst_long,
+)
 
 ABS_PIECES = PiecewiseLinearMax(
     slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2)
@@ -147,6 +156,64 @@ def test_scale_instance_maps_geometry():
     # f'(x) = B*R*f(x/R) = 6*|0.5| = 3, slope doubled
     assert sample.value == pytest.approx(3.0)
     assert sample.subgradient[0] == pytest.approx(2.0)
+
+
+def test_scaled_run_builds_one_sample_per_oracle_call(monkeypatch):
+    q = scale_instance(random_instance(4, 6, seed=2), B=2.0, R=3.0)
+    made = []
+    of = SubgradientSample.of
+
+    def counting(cls, value, subgradient):
+        made.append(value)
+        return of(value, subgradient)
+
+    monkeypatch.setattr(SubgradientSample, "of", classmethod(counting))
+    trace = run(q, StepSchedule.constant_length(0.05), N=20)
+    assert not trace.terminated_early
+    assert len(made) == trace.horizon + 1
+    assert q.oracle.func is eval_plmax
+
+
+def test_scale_instance_rejects_other_oracles():
+    p = ProblemInstance(
+        oracle=lambda x, k=None: SubgradientSample.of(float(x[0]), np.ones(1)),
+        projection=project_all,
+        f_star=0.0,
+        B=1.0,
+        R=1.0,
+        dimension=1,
+    )
+    with pytest.raises(ValueError):
+        scale_instance(p, 2.0, 3.0)
+
+
+def test_scale_instance_composes_with_an_earlier_dilation():
+    once = scale_instance(abs_instance(), 2.0, 3.0)
+    twice = scale_instance(scale_instance(abs_instance(), 1.0, 1.0), 2.0, 3.0)
+    assert twice.oracle.keywords == once.oracle.keywords == {"B": 2.0, "R": 3.0}
+    a, b = twice.evaluate(np.array([1.5])), once.evaluate(np.array([1.5]))
+    assert a.value == b.value
+    assert np.array_equal(a.subgradient, b.subgradient)
+
+
+@pytest.mark.parametrize(
+    "unit, steps",
+    [
+        (long_step_instance(6, 0.4), [0.4] * 6),
+        (two_step_worst_long(0.3), [TWO_STEP_FIRST, 0.3]),
+    ],
+    ids=["longstep", "two-step-long"],
+)
+def test_scaled_oracle_is_exactly_the_dilated_unit_oracle(unit, steps):
+    B, R = 2.5, 0.75
+    q = scale_instance(unit, B, R)
+    trace = run(q, StepSchedule.custom([h * R / B for h in steps]), N=len(steps))
+    assert not trace.terminated_early
+    for k, y in enumerate(trace.points, start=1):
+        scaled = q.evaluate(y, k)
+        ref = unit.evaluate(y / R, k)
+        assert scaled.value == B * R * ref.value
+        assert np.array_equal(scaled.subgradient, B * ref.subgradient)
 
 
 def test_check_instance_passes_on_generators():

@@ -20,6 +20,7 @@ from subgradlab import (
     optimal_constant_step,
     optimal_method_rate,
     optimal_step_weights,
+    project_ball,
     recursive_weights,
     run,
     scale_instance,
@@ -167,6 +168,7 @@ def _abs_avg_gap(weights):
         lambda: WeightSequence([1.0, 2.0], h_last=math.inf),
         lambda: recursive_weights([0.1, 0.1], 0.1, math.nan),
         lambda: recursive_weights([0.1, 0.1], 0.0, 1.0),
+        lambda: project_ball([0.0], math.nan),
     ],
     ids=[
         "alpha_family_bound-nan-h", "matching_alpha-zero-h", "avg_gap-nan-weight",
@@ -174,7 +176,7 @@ def _abs_avg_gap(weights):
         "optimal_step_weights-zero-B", "scale_instance-nan-B", "abs_instance-inf-R",
         "best_iterate_bound-nan-B", "best_iterate_bound-inf-step",
         "custom-nan-step", "weights-inf-h_last", "recursive_weights-nan-alpha",
-        "recursive_weights-zero-h_last",
+        "recursive_weights-zero-h_last", "project_ball-nan-radius",
     ],
 )
 def test_non_finite_or_nonpositive_parameters_raise_value_errors(call):

@@ -176,16 +176,6 @@ def test_values_recorded_with_one_based_iteration_index():
     assert seen == [1, 2, 3, 4]
 
 
-def test_light_record_mode_drops_points():
-    p = abs_instance()
-    trace = run(p, StepSchedule.constant_normalized(0.2), N=3, record_mode="values_only")
-    assert trace.points is None
-    assert trace.last_point is not None
-    assert last_gap(trace, p) == pytest.approx(0.4, abs=1e-15)
-    with pytest.raises(ValueError):
-        avg_gap(trace, p, [0.2] * 4)
-
-
 def test_best_iterate_bound_frozen():
     # (R^2 + B^2 * sum h^2) / (2 * sum h) with B = R = 1
     h = [0.5, 0.5]
