@@ -13,7 +13,8 @@ the inequality states
     sum_{k=1}^{N+1} c_k (f(x^k) - f(x_hat))
         <= v_0^2 ||x^1 - x_hat||^2 / 2 + sum_{k=1}^{N+1} h_k^2 v_k^2 ||g^k||^2 / 2.
 
-It needs a subgradient at the final point, hence one extra oracle call.
+It needs a subgradient at the final point, hence one extra oracle call,
+which ``solver.run`` makes and records in the trace.
 Choosing the weights well makes c_1 .. c_N vanish and turns the left side
 into a pure last-iterate gap; the builders below produce exactly those
 choices.  ``verify_lemma`` evaluates both sides on an actual trace so the
@@ -99,32 +100,26 @@ def verify_lemma(
 
     Returns ``(lhs, rhs, slack)`` with ``slack = rhs - lhs``; a valid trace,
     feasible reference and valid weights always give slack >= 0 up to
-    rounding.  Queries the oracle twice: for the subgradient at the final
-    point (iteration index N+1) and for the value at ``x_hat``.
+    rounding.  The subgradient at the final point comes from the trace, so
+    the only oracle query is for the value at ``x_hat``.
     """
-    if trace.horizon != w.horizon:
-        raise IncompatibleLength(
-            f"trace ran {trace.horizon} steps, weights expect {w.horizon}"
-        )
+    c = coefficients(w, trace.steps)
     x_hat = as_point(x_hat, p.dimension)
     if not p.is_feasible(x_hat):
         raise InfeasibleReference("reference point is not in the feasible set")
 
-    g_last = p.evaluate(trace.last_point, trace.horizon + 1).subgradient
     f_hat = p.evaluate(x_hat).value
-
-    c = coefficients(w, trace.steps)
     lhs = float(np.dot(c, trace.values - f_hat))
 
-    g_norms_sq = np.append(
-        np.sum(trace.subgradients**2, axis=1), float(np.dot(g_last, g_last))
-    )
+    g = trace.subgradients
+    # np.dot for the last squared norm on purpose: the certify output pins its
+    # bits, which a row-wise sum can move, until one fixed-order kernel serves both.
+    g_norms_sq = np.append(np.sum(g[:-1] ** 2, axis=1), float(np.dot(g[-1], g[-1])))
     h = np.append(trace.steps, w.h_last)
     v = w.v
     rhs = 0.5 * v[0] ** 2 * float(
         np.sum((trace.points[0] - x_hat) ** 2)
     ) + 0.5 * float(np.sum(h**2 * v[1:] ** 2 * g_norms_sq))
-    lhs = float(lhs)
     rhs = float(rhs)
     return LemmaCheck(lhs, rhs, rhs - lhs)
 

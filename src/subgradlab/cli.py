@@ -48,6 +48,9 @@ SWEEP_COLUMNS = COLUMNS + ["bound_log"]
 
 SLACK_FLOOR = -1e-9
 
+# Most step values one --h-grid may list; the list is built in memory.
+MAX_GRID_POINTS = 100_000
+
 
 class _Method(NamedTuple):
     flag: str | None  # the `run` flag holding the step parameter
@@ -108,8 +111,11 @@ def _write_rows(rows: list[dict], columns: list[str], fmt: str, out: str) -> Non
     if out == "-":
         sys.stdout.write(payload)
     else:
-        with open(out, "w", newline="") as f:
-            f.write(payload)
+        try:
+            with open(out, "w", newline="") as f:
+                f.write(payload)
+        except OSError as exc:
+            raise CliError(f"cannot write --out: {exc}") from exc
 
 
 def _custom_steps(args) -> list[float]:
@@ -173,7 +179,7 @@ def _cell_row(
     BR = p.B * p.R
     lastg = solver.last_gap(trace, p)
     bestg = solver.best_gap(trace, p)
-    extended = list(trace.steps) + [float(trace.steps[-1])]
+    extended = np.append(trace.steps, trace.steps[-1])
     avgg = solver.avg_gap(trace, p, extended)
     bound_best = solver.best_iterate_bound(extended, p.B, p.R)
 
@@ -249,6 +255,8 @@ def _parse_grid(text: str) -> list[float]:
     ):
         raise CliError("--h-grid needs finite numbers with 0 < min <= max and step > 0")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > MAX_GRID_POINTS:
+        raise CliError(f"--h-grid has {count} points, over the limit {MAX_GRID_POINTS}")
     return [lo + i * step for i in range(count)]
 
 

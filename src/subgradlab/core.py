@@ -29,7 +29,7 @@ from .rates import _validate_scale
 # (the method has hit a minimizer and stops moving).
 ZERO_TOL = 1e-14
 
-# Default relative tolerance deciding which affine pieces count as active.
+# Relative tolerance deciding which affine pieces count as active.
 ACTIVE_TOL = 1e-9
 
 # Points must satisfy ||projection(x) - x|| at or below this (scaled by the
@@ -88,7 +88,6 @@ class PiecewiseLinearMax:
     slopes: np.ndarray
     intercepts: np.ndarray
     scripted_choices: Mapping[int, int] | None = None
-    active_tol: float = ACTIVE_TOL
 
     def __post_init__(self):
         slopes = np.atleast_2d(np.asarray(self.slopes, dtype=np.float64))
@@ -110,10 +109,6 @@ class PiecewiseLinearMax:
                     raise ValueError(f"scripted piece {piece} for iteration {it} out of range")
 
     @property
-    def n_pieces(self) -> int:
-        return self.slopes.shape[0]
-
-    @property
     def dimension(self) -> int:
         return self.slopes.shape[1]
 
@@ -129,13 +124,13 @@ def eval_plmax(
     The returned value is the true maximum.  The subgradient is B times the
     slope of the scripted piece for iteration ``k`` when a script entry
     exists, and of the highest-index active piece otherwise.  A piece counts
-    as active when its value at x / R is within ``active_tol * (1 + |max|)``
+    as active when its value at x / R is within ``ACTIVE_TOL * (1 + |max|)``
     of the maximum there, so the choice does not depend on (B, R).  With the
     default B = R = 1 every scaling operation is exact.
     """
     vals = f.slopes @ (np.asarray(x, dtype=np.float64) / R) + f.intercepts
     fmax = float(np.max(vals))
-    threshold = fmax - f.active_tol * (1.0 + abs(fmax))
+    threshold = fmax - ACTIVE_TOL * (1.0 + abs(fmax))
     if f.scripted_choices is not None and k is not None and k in f.scripted_choices:
         piece = f.scripted_choices[k]
         if vals[piece] < threshold:

@@ -5,9 +5,10 @@ One iteration from x^k with step size h_k and subgradient g^k at x^k is
     x^{k+1} = P_X(x^k - h_k g^k).
 
 ``run`` executes N such iterations, evaluates the final point once more for
-its value, and returns the whole trajectory as a :class:`RunTrace`.  The
-solver treats the instance as a black box: it never reads ``f_star`` or
-``x_star``; gaps are measured afterwards by the ``*_gap`` helpers.
+its value and subgradient, and returns the whole trajectory as a
+:class:`RunTrace`.  The solver treats the instance as a black box: it never
+reads ``f_star`` or ``x_star``; gaps are measured afterwards by the
+``*_gap`` helpers.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class RunTrace:
 
     ``values`` holds f(x^1) .. f(x^{N+1}), ``steps`` the N step sizes
     actually applied, ``points`` the (N+1) x dim array of iterates and
-    ``subgradients`` the N x dim array of oracle answers.
+    ``subgradients`` the (N+1) x dim array of oracle answers g^1 .. g^{N+1},
+    the last one queried at x^{N+1} with iteration index N+1.
     """
 
     values: np.ndarray
@@ -117,10 +119,6 @@ class RunTrace:
     @property
     def horizon(self) -> int:
         return len(self.steps)
-
-    @property
-    def last_point(self) -> np.ndarray:
-        return self.points[-1]
 
 
 def run(
@@ -136,7 +134,7 @@ def run(
     a (numerically) zero subgradient the method has nothing to move along:
     the current point is replicated through x^{N+1}, the remaining step
     slots are padded with nominal positive values, and the trace is flagged
-    ``terminated_early``.
+    ``terminated_early``; the final query at index N+1 is still made.
     """
     if N is None:
         if schedule.N is None:
@@ -155,7 +153,7 @@ def run(
     values = np.empty(N + 1)
     steps = np.empty(N)
     points = np.empty((N + 1, p.dimension))
-    subgradients = np.empty((N, p.dimension))
+    subgradients = np.empty((N + 1, p.dimension))
     points[0] = x
     terminated_early = False
 
@@ -177,8 +175,9 @@ def run(
         x = p.projection(x - h_k * g)
         points[k] = x
 
-    if not terminated_early:
-        values[N] = p.evaluate(x, N + 1).value
+    last = p.evaluate(x, N + 1)
+    values[N] = last.value
+    subgradients[N] = last.subgradient
 
     return RunTrace(
         values=values,

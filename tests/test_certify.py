@@ -95,6 +95,22 @@ def test_lemma_on_abs_trace():
     assert check.lhs <= check.rhs
 
 
+def test_lemma_makes_one_oracle_call():
+    p = random_instance(4, 6, seed=2)
+    N = 6
+    trace = run(p, StepSchedule.optimal_last_iterate(N))
+    seen = []
+    orig = p.oracle
+
+    def spy(x, k=None):
+        seen.append(k)
+        return orig(x, k)
+
+    object.__setattr__(p, "oracle", spy)
+    verify_lemma(trace, p, optimal_step_weights(N), p.x_star)
+    assert seen == [None]
+
+
 def test_lemma_needs_matching_horizon():
     p = abs_instance()
     trace = run(p, StepSchedule.constant_normalized(0.1), N=3)

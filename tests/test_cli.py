@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from subgradlab import cli
+from subgradlab.certify import LemmaCheck
 from subgradlab.cli import COLUMNS, SWEEP_COLUMNS, main
 
 HEADER = "method,N,h,B,R,instance,seed,last_gap,best_gap,avg_gap,bound_last,bound_best,slack"
@@ -126,6 +128,7 @@ def test_invalid_flags_exit_two(capsys):
         ("sweep", "--N-list", "2", "--method", "optimal", "--h-grid", "0.1:0.2:0.1"),
         ("sweep", "--N-list", "2", "--method", "constant", "--h-grid", "0.5:0.1:0.1"),
         ("certify", "--trials", "0"),
+        ("run", "--method", "optimal", "--N", "3", "--instance", "longstep"),
     ]
     for argv in cases:
         code, _, err = invoke(capsys, *argv)
@@ -144,6 +147,7 @@ def test_invalid_flags_exit_two(capsys):
         ("sweep", "--N-list", "2", "--h-grid", "nan:1:0.1"),
         ("sweep", "--N-list", "2", "--h-grid", "0.1:0.2:inf"),
         ("sweep", "--N-list", "2", "--h-grid", "0.1:1e300:1e-10"),
+        ("sweep", "--N-list", "2", "--h-grid", "1e-9:1:1e-9"),
     ],
 )
 def test_non_finite_parameters_exit_two_without_traceback(capsys, argv):
@@ -152,6 +156,64 @@ def test_non_finite_parameters_exit_two_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_grid_limit_is_inclusive():
+    assert len(cli._parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
+    with pytest.raises(cli.CliError, match=f"{cli.MAX_GRID_POINTS + 1} points, over the limit"):
+        cli._parse_grid(f"1:{cli.MAX_GRID_POINTS + 1}:1")
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (("sweep", "--N-list", "2", "--method", "optimal"), "."),
+        (("run", "--method", "optimal", "--N", "2", "--instance", "abs"),
+         "missing/row.csv"),
+    ],
+)
+def test_unwritable_out_exits_two(tmp_path, capsys, argv, target):
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message,n_rows",
+    [
+        (("run", "--method", "constant", "--N", "2", "--h", "0.1", "--instance", "abs"),
+         "bound violated: slack=", 1),
+        (("sweep", "--N-list", "2", "--h-grid", "0.1:0.2:0.1", "--instance", "abs"),
+         "bound violated: N=2 h=0.1 slack=", 2),
+    ],
+)
+def test_violated_bound_exits_one_and_still_writes_rows(
+    capsys, monkeypatch, argv, message, n_rows
+):
+    broken = cli._METHODS["constant"]._replace(rate=lambda N, h: -1.0)
+    monkeypatch.setitem(cli._METHODS, "constant", broken)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert err.startswith(message)
+    header, rows = parse_csv(out)
+    assert header[: len(COLUMNS)] == COLUMNS
+    assert len(rows) == n_rows
+    assert all(float(dict(zip(header, r))["slack"]) < -1e-9 for r in rows)
+
+
+def test_certify_violation_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli.certify_mod, "verify_lemma", lambda *args: LemmaCheck(1.0, 0.0, -1.0)
+    )
+    code, out, _ = invoke(capsys, "certify", "--trials", "3", "--N", "2", "--seed", "1")
+    assert code == 1
+    violations = [line for line in out.splitlines() if line.startswith("VIOLATION:")]
+    assert violations == [
+        f"VIOLATION: trial {t} (seed [1, {t}]) slack = -1.0" for t in range(3)
+    ]
+    assert "OK:" not in out
 
 
 def test_steps_file_roundtrip(tmp_path, capsys):

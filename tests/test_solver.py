@@ -9,6 +9,7 @@ from subgradlab import (
     InfeasibleReference,
     PiecewiseLinearMax,
     ScheduleExhausted,
+    ScriptedPieceInactive,
     StepOutOfRange,
     StepSchedule,
     avg_gap,
@@ -18,8 +19,9 @@ from subgradlab import (
     last_gap,
     project_ball,
     run,
+    scale_instance,
 )
-from subgradlab.worstcase import abs_instance, random_instance
+from subgradlab.worstcase import abs_instance, long_step_instance, random_instance
 
 
 def test_constant_schedule_on_abs():
@@ -111,6 +113,39 @@ def test_early_stop_replicates_tail():
     assert trace.points.shape == (5, 1)
     assert np.allclose(trace.points, 0.5)
     assert len(trace.steps) == 4
+    assert trace.subgradients.shape == (5, 1)
+
+
+def test_script_entry_past_an_early_stop_is_checked_in_run():
+    # The same hinge stops at once, but iteration N+1 is scripted to the
+    # sloped piece, which is not active at the stopping point.
+    pieces = PiecewiseLinearMax(
+        slopes=np.array([[0.0], [1.0]]),
+        intercepts=np.array([0.0, -1.0]),
+        scripted_choices={5: 1},
+    )
+    p = instance_from_pieces(
+        pieces, f_star=0.0, x_star=np.array([0.5]), x_start=np.array([0.5]), B=1.0, R=1.0
+    )
+    with pytest.raises(ScriptedPieceInactive):
+        run(p, StepSchedule.constant_normalized(0.3), N=4)
+
+
+@pytest.mark.parametrize(
+    "p,schedule,N",
+    [
+        (long_step_instance(5, 0.3), StepSchedule.constant_normalized(0.3), 5),
+        (scale_instance(random_instance(6, 9, seed=4), 2.5, 0.4),
+         StepSchedule.constant_length(0.2), 30),
+    ],
+)
+def test_trace_keeps_the_oracle_answer_at_the_final_point(p, schedule, N):
+    trace = run(p, schedule, N=N)
+    assert not trace.terminated_early
+    assert trace.subgradients.shape == (N + 1, p.dimension)
+    final = p.evaluate(trace.points[-1], N + 1)
+    assert np.array_equal(trace.subgradients[-1], final.subgradient)
+    assert trace.values[-1] == final.value
 
 
 def test_infeasible_start_rejected():
