@@ -15,6 +15,7 @@ flags or parameters.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -95,7 +96,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(rows: list[dict], columns: list[str], fmt: str, out: str) -> None:
+@contextlib.contextmanager
+def _open_out(out: str):
+    """Yield the ``--out`` stream: stdout for '-', else the file, opened
+    before any cell runs so that a bad path fails at once.  Like shell ``>``,
+    a command that fails later leaves the file empty."""
+    if out == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", newline="") as f:
+            yield f
+    except OSError as exc:
+        raise CliError(f"cannot write --out: {exc}") from exc
+
+
+def _write_rows(rows: list[dict], columns: list[str], fmt: str, out) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -108,14 +124,7 @@ def _write_rows(rows: list[dict], columns: list[str], fmt: str, out: str) -> Non
             [{c: row[c] for c in columns} for row in rows], indent=2
         )
         payload += "\n"
-    if out == "-":
-        sys.stdout.write(payload)
-    else:
-        try:
-            with open(out, "w", newline="") as f:
-                f.write(payload)
-        except OSError as exc:
-            raise CliError(f"cannot write --out: {exc}") from exc
+    out.write(payload)
 
 
 def _custom_steps(args) -> list[float]:
@@ -136,10 +145,10 @@ def _custom_steps(args) -> list[float]:
 
 def _instance(args, N: int, h: float | None, shared_random=None) -> ProblemInstance:
     """The ``--instance`` problem for a cell of horizon N and step h, at the
-    requested B and R.  ``worstcase`` picks the tight construction for the
-    cell's side of the knee; ``shared_random`` stands in for a fresh random
-    instance."""
-    B, R = rates._validate_scale(args.B, args.R)
+    requested B and R, which the caller has validated.  ``worstcase`` picks
+    the tight construction for the cell's side of the knee; ``shared_random``
+    stands in for a fresh random instance."""
+    B, R = args.B, args.R
     key = args.instance
     if key == "worstcase":
         key = "longstep" if h is not None and h > rates.knee(N) else "abs"
@@ -163,8 +172,7 @@ def _instance(args, N: int, h: float | None, shared_random=None) -> ProblemInsta
         p = shared_random or worstcase.random_instance(
             args.dim, args.directions, seed=args.seed
         )
-    normalized = abs(B - 1.0) <= 1e-15 and abs(R - 1.0) <= 1e-15
-    return p if normalized else scale_instance(p, B, R)
+    return p if B == R == 1.0 else scale_instance(p, B, R)
 
 
 def _cell_row(
@@ -214,14 +222,17 @@ def _cell_row(
 
 def _cmd_run(args) -> int:
     N = rates._validate_horizon(args.N)
+    rates._validate_scale(args.B, args.R)
     p = _instance(args, N, args.h)
     method = _METHODS[args.method]
     param = None if method.flag is None else getattr(args, method.flag)
     if method.flag is not None and param is None:
         raise CliError(f"--method {args.method} requires --{method.flag}")
     steps = _custom_steps(args) if args.method == "custom" else param
-    row = _cell_row(args, N, param, p, method.schedule(N, steps))
-    _write_rows([row], COLUMNS, args.format, args.out)
+    schedule = method.schedule(N, steps)
+    with _open_out(args.out) as out:
+        row = _cell_row(args, N, param, p, schedule)
+        _write_rows([row], COLUMNS, args.format, out)
     if row["slack"] < SLACK_FLOOR:
         print(
             f"bound violated: slack={row['slack']!r} below {SLACK_FLOOR}",
@@ -267,6 +278,7 @@ def _cmd_sweep(args) -> int:
         need = "needs" if has_step else "takes no"
         raise CliError(f"--method {args.method} {need} --h-grid")
     grid = _parse_grid(args.h_grid) if has_step else [None]
+    rates._validate_scale(args.B, args.R)
     shared_random = None
     if args.instance == "random":
         shared_random = worstcase.random_instance(
@@ -274,15 +286,16 @@ def _cmd_sweep(args) -> int:
         )
 
     make_schedule = _METHODS[args.method].schedule
-    rows = [
-        _cell_row(
-            args, N, h, _instance(args, N, h, shared_random), make_schedule(N, h),
-            include_log_bound=True,
-        )
-        for N in n_values
-        for h in grid
-    ]
-    _write_rows(rows, SWEEP_COLUMNS, args.format, args.out)
+    with _open_out(args.out) as out:
+        rows = [
+            _cell_row(
+                args, N, h, _instance(args, N, h, shared_random), make_schedule(N, h),
+                include_log_bound=True,
+            )
+            for N in n_values
+            for h in grid
+        ]
+        _write_rows(rows, SWEEP_COLUMNS, args.format, out)
     worst = min(row["slack"] for row in rows)
     if worst < SLACK_FLOOR:
         bad = next(r for r in rows if r["slack"] == worst)

@@ -11,19 +11,10 @@ the certificate weights used elsewhere in the package.
 from __future__ import annotations
 
 import math
-import threading
 from itertools import islice
 from typing import Iterator
 
 from .errors import AlphaOutOfRange, InvariantViolation
-
-# The growing list s_{1,1}, s_{1,2}, ... of the unit seed, the one seed the
-# rates and the worst-case instances ask for over and over; other seeds are
-# recomputed by ``iter_s`` on each call.  The list is only ever appended to,
-# under the lock and by ``iter_s``, so every query sees bit-identical values.
-_UNIT: list[float] = [1.0]
-_UNIT_LOCK = threading.Lock()
-
 
 def _validate_alpha(alpha: float) -> float:
     alpha = float(alpha)
@@ -35,23 +26,18 @@ def _validate_alpha(alpha: float) -> float:
 def s(alpha: float, k: int) -> float:
     """Return s_{alpha,k} for integer k >= 1.
 
-    Values of the unit seed are memoized, so repeated queries cost one list
-    lookup; any other seed costs k - 1 steps of the recursion.
+    Each call runs k - 1 steps of the recursion; nothing is cached.
     """
-    alpha = _validate_alpha(alpha)
+    # ``iter_s`` validates only on its first ``next``, so a bad seed is
+    # reported here, before a bad index.
+    _validate_alpha(alpha)
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    if alpha != 1.0:
-        return next(islice(iter_s(alpha), k - 1, None))
-    if len(_UNIT) < k:
-        with _UNIT_LOCK:
-            if len(_UNIT) < k:  # another thread may have extended it already
-                _UNIT.extend(islice(iter_s(_UNIT[-1]), 1, k - len(_UNIT) + 1))
-    return _UNIT[k - 1]
+    return next(islice(iter_s(alpha), k - 1, None))
 
 
 def iter_s(alpha: float) -> Iterator[float]:
-    """Yield s_{alpha,1}, s_{alpha,2}, ... lazily, without touching the cache.
+    """Yield s_{alpha,1}, s_{alpha,2}, ... lazily.
 
     Useful for very long scans where storing every term would be wasteful.
     """

@@ -129,11 +129,14 @@ def test_invalid_flags_exit_two(capsys):
         ("sweep", "--N-list", "2", "--method", "constant", "--h-grid", "0.5:0.1:0.1"),
         ("certify", "--trials", "0"),
         ("run", "--method", "optimal", "--N", "3", "--instance", "longstep"),
+        ("sweep", "--N-list", "2,x", "--method", "optimal"),
+        ("sweep", "--N-list", "2", "--method", "constant", "--h-grid", "0.1:0.2"),
+        ("sweep", "--N-list", "2", "--method", "constant", "--h-grid", "0.1:abc:0.1"),
     ]
     for argv in cases:
         code, _, err = invoke(capsys, *argv)
         assert code == 2, argv
-        assert err != "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize(
@@ -172,12 +175,40 @@ def test_grid_limit_is_inclusive():
          "missing/row.csv"),
     ],
 )
-def test_unwritable_out_exits_two(tmp_path, capsys, argv, target):
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv, target):
+    runs = []
+    monkeypatch.setattr(cli.solver, "run", lambda *a, **kw: runs.append(a))
     code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / target))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert runs == []  # the path is opened before any cell runs
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_out_file_matches_stdout(tmp_path, capsys, fmt):
+    argv = ("sweep", "--N-list", "1,3", "--h-grid", "0.1:0.5:0.2", "--format", fmt)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    target = tmp_path / f"rows.{fmt}"
+    code, file_out, _ = invoke(capsys, *argv, "--out", str(target))
+    assert code == 0
+    assert file_out == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_scale_near_one_is_used_as_given(capsys):
+    B = "1.0000000000000002"  # the float right after 1.0
+    code, out, _ = invoke(
+        capsys, "run", "--instance", "random", "--method", "optimal", "--N", "3",
+        "--seed", "1", "--B", B,
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert row["B"] == B
+    assert row["R"] == "1.0"
 
 
 @pytest.mark.parametrize(
@@ -228,6 +259,27 @@ def test_steps_file_roundtrip(tmp_path, capsys):
     row = dict(zip(header, rows[0]))
     # 1 - 0.2 - 0.1 - 0.05 = 0.65
     assert float(row["last_gap"]) == pytest.approx(0.65, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "contents,message",
+    [(None, "error: cannot read --steps-file: "),
+     ("0.2 abc\n", "error: --steps-file must hold numbers: ")],
+    ids=["unreadable", "non-numeric"],
+)
+def test_bad_steps_file_exits_two(tmp_path, capsys, contents, message):
+    steps = tmp_path / "steps.txt"
+    if contents is None:
+        steps.mkdir()  # opening a directory fails with an OSError
+    else:
+        steps.write_text(contents)
+    code, out, err = invoke(
+        capsys, "run", "--method", "custom", "--N", "2", "--instance", "abs",
+        "--steps-file", str(steps),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_sweep_grid_shape_and_order(capsys):

@@ -1,0 +1,86 @@
+"""The recursion and the closed-form rates against 50-digit decimal arithmetic.
+
+Every other test of s_k and of the rates compares float code with float
+code.  Here the same formulas are evaluated with stdlib ``decimal`` at 50
+significant digits, so the reference carries no float rounding, and each
+float result must sit within a stated relative error of it:
+
+* s_{1,k} and the knee 1/s_{N+1}^2: 1e-14;
+* ``constant_step_rate`` (both branches) and the optimal constant-step
+  rate: 16 (N + 1) max(1, h) units of 2^-52.  Each of the N recursion
+  steps may add a rounding of s_k, and the long-step branch multiplies
+  that error by about h.
+"""
+
+import decimal
+from decimal import Decimal
+from itertools import islice
+
+import pytest
+
+from subgradlab import constant_step_rate, iter_s, optimal_constant_step, s
+from subgradlab.rates import knee
+
+K_MAX = 20_001
+N_VALUES = [1, 2, 3, 5, 10, 20, 50, 100, 150, 200, 1000, 5000, 10_000, 20_000]
+H_VALUES = [1e-5, 1e-3, 0.01, 0.02, 0.05, 0.1, 0.3, 0.6, 1.0, 2.0, 5.0]
+EPS = 2.0 ** -52
+
+CONTEXT = decimal.Context(prec=50)
+
+
+@pytest.fixture(scope="module")
+def exact_s():
+    """s_{1,1} .. s_{1,K_MAX} at 50 digits; ``exact_s[k - 1]`` is s_{1,k}."""
+    values = [Decimal(1)]
+    with decimal.localcontext(CONTEXT):
+        for _ in range(K_MAX - 1):
+            values.append(values[-1] + 1 / values[-1])
+    return values
+
+
+def rel_err(approx: float, exact: Decimal) -> float:
+    with decimal.localcontext(CONTEXT):
+        return float(abs(Decimal(approx) - exact) / abs(exact))
+
+
+def exact_rate(s2: Decimal, N: int, h: float) -> Decimal:
+    """The two branches of ``constant_step_rate``, split at the exact knee."""
+    h = Decimal(h)
+    with decimal.localcontext(CONTEXT):
+        if h <= 1 / s2:
+            return 1 - N * h
+        return (s2 / 2 - N) * h + 1 / (2 * s2 * h)
+
+
+def test_unit_sequence(exact_s):
+    floats = list(islice(iter_s(1.0), K_MAX))
+    assert max(rel_err(f, e) for f, e in zip(floats, exact_s)) < 1e-14
+    for k in (1, 2, 7, 100, 1234, K_MAX):
+        assert s(1.0, k) == floats[k - 1]
+
+
+def test_knee(exact_s):
+    for N in sorted(set(range(1, 201)) | set(N_VALUES)):
+        with decimal.localcontext(CONTEXT):
+            exact = 1 / exact_s[N] ** 2
+        assert rel_err(knee(N), exact) < 1e-14, N
+
+
+@pytest.mark.parametrize("N", N_VALUES)
+def test_constant_step_rate_both_branches(exact_s, N):
+    with decimal.localcontext(CONTEXT):
+        s2 = exact_s[N] ** 2
+        branches = {Decimal(h) <= 1 / s2 for h in H_VALUES}
+    assert branches == {True, False}  # h = 1e-5 lies below every knee here
+    for h in H_VALUES:
+        err = rel_err(constant_step_rate(N, h), exact_rate(s2, N, h))
+        assert err < 16 * (N + 1) * max(1.0, h) * EPS, (N, h, err)
+
+
+@pytest.mark.parametrize("N", N_VALUES)
+def test_optimal_constant_step_rate(exact_s, N):
+    with decimal.localcontext(CONTEXT):
+        exact = (1 - 2 * N / exact_s[N] ** 2).sqrt()
+    err = rel_err(optimal_constant_step(N).rate, exact)
+    assert err < 16 * (N + 1) * EPS, (N, err)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgradlab import (
+    PiecewiseLinearMax,
     StepOutOfRange,
     StepSchedule,
     WeightSequence,
@@ -14,6 +15,7 @@ from subgradlab import (
     classical_lower_bound,
     constant_length_rate,
     constant_step_rate,
+    instance_from_pieces,
     lower_bound,
     matching_alpha,
     no_universal_step_certificate,
@@ -21,8 +23,10 @@ from subgradlab import (
     optimal_method_rate,
     optimal_step_weights,
     project_ball,
+    random_instance,
     recursive_weights,
     run,
+    s_identity_check,
     scale_instance,
     two_step_worst_gap,
     weakened_rate_bounds,
@@ -30,6 +34,8 @@ from subgradlab import (
 from subgradlab.rates import TWO_STEP_FIRST, TWO_STEP_KNEE, RateReport, knee
 from subgradlab.sequences import s
 from subgradlab.worstcase import abs_instance
+
+UNIT_PIECES = PiecewiseLinearMax(slopes=[[1.0, 0.0], [-1.0, 0.0]], intercepts=[0.0, 0.0])
 
 # Frozen by independent hand computation (see the short-step branch 1 - N*h
 # and the long-step branch (s^2/2 - N)*h + 1/(2*s^2*h) with s = s(1, N+1)).
@@ -169,6 +175,21 @@ def _abs_avg_gap(weights):
         lambda: recursive_weights([0.1, 0.1], 0.1, math.nan),
         lambda: recursive_weights([0.1, 0.1], 0.0, 1.0),
         lambda: project_ball([0.0], math.nan),
+        lambda: run(abs_instance(), StepSchedule.constant_normalized(0.1), N=2,
+                    x1=[[1.0]]),
+        lambda: run(abs_instance(), StepSchedule.constant_normalized(0.1), N=2,
+                    x1=[math.inf]),
+        lambda: run(abs_instance(), StepSchedule.constant_normalized(0.1), N=2,
+                    x1=[1.0, 0.0]),
+        lambda: PiecewiseLinearMax(slopes=[[math.nan]], intercepts=[0.0]),
+        lambda: instance_from_pieces(UNIT_PIECES, f_star=0.0, x_star=[0.0, 0.0],
+                                     x_start=[1.0, 0.0], B=0.5),
+        lambda: instance_from_pieces(UNIT_PIECES, f_star=0.0, x_star=[0.0, 0.0],
+                                     x_start=[1.0, 0.0], R=0.5),
+        lambda: random_instance(0, 3),
+        lambda: random_instance(3, 0),
+        lambda: s(1.0, 0),
+        lambda: s_identity_check(1.0, 0),
     ],
     ids=[
         "alpha_family_bound-nan-h", "matching_alpha-zero-h", "avg_gap-nan-weight",
@@ -177,6 +198,10 @@ def _abs_avg_gap(weights):
         "best_iterate_bound-nan-B", "best_iterate_bound-inf-step",
         "custom-nan-step", "weights-inf-h_last", "recursive_weights-nan-alpha",
         "recursive_weights-zero-h_last", "project_ball-nan-radius",
+        "run-2d-x1", "run-inf-x1", "run-wrong-dimension-x1", "pieces-nan-slope",
+        "instance_from_pieces-low-B", "instance_from_pieces-low-R",
+        "random_instance-zero-dimension", "random_instance-zero-directions",
+        "s-zero-index", "s_identity_check-zero-index",
     ],
 )
 def test_non_finite_or_nonpositive_parameters_raise_value_errors(call):

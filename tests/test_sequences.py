@@ -1,6 +1,4 @@
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import pytest
@@ -9,12 +7,10 @@ from hypothesis import strategies as st
 
 from subgradlab import (
     AlphaOutOfRange,
-    alpha_family_bound,
     iter_s,
     s,
     s_bounds,
     s_identity_check,
-    sequences,
 )
 
 # First few terms of the unit-seed recursion, frozen by hand:
@@ -58,6 +54,8 @@ def test_alpha_below_one_rejected():
         s(0.99, 3)
     with pytest.raises(AlphaOutOfRange):
         list(iter_s(0.0))
+    with pytest.raises(AlphaOutOfRange):  # the seed is checked before the index
+        s(0.99, 0)
 
 
 def test_identities_small_residuals():
@@ -120,35 +118,7 @@ def test_square_grows_like_2k(k):
     assert val * val <= 2.0 * k + 0.5 * math.log(max(k - 1, 1)) + 1.0
 
 
-def test_only_the_unit_seed_is_memoized(monkeypatch):
-    monkeypatch.setattr(sequences, "_UNIT", [1.0])
-    for alpha in [1.0 + i / 997.0 for i in range(1, 1000)]:
-        alpha_family_bound(100, 0.01, alpha)
-        s_identity_check(alpha, 50)
-    assert sequences._UNIT == [1.0]
-    # other seeds still give the bits of a fresh recursion
-    for alpha in (1.25, 1.7, 3.0):
+def test_s_is_the_kth_term_of_iter_s_for_every_seed():
+    for alpha in (1.0, 1.25, 1.7, 3.0):
         fresh = list(islice(iter_s(alpha), 120))
         assert [s(alpha, k) for k in range(1, 121)] == fresh
-    s(1.0, 101)
-    assert sequences._UNIT == list(islice(iter_s(1.0), 101))
-
-
-def test_unit_cache_is_exact_under_threads(monkeypatch):
-    expected = list(islice(iter_s(1.0), 10_000))
-
-    def work(offset):
-        # every thread asks for ever larger k, so they race to extend the list
-        ks = [1 + 50 * i + 13 * offset for i in range(199)]
-        return [k for k in ks if s(1.0, k) != expected[k - 1]]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave
-    try:
-        for _ in range(10):
-            monkeypatch.setattr(sequences, "_UNIT", [1.0])
-            with ThreadPoolExecutor(max_workers=4) as pool:  # re-raises worker errors
-                assert list(pool.map(work, range(4))) == [[], [], [], []]
-            assert sequences._UNIT == expected[: len(sequences._UNIT)]
-    finally:
-        sys.setswitchinterval(interval)
