@@ -8,8 +8,8 @@ Three subcommands:
 
 Rows are CSV by default (JSON with ``--format json``) and reproduce
 byte-for-byte for identical flags and seed.  Exit status: 0 when every
-reported slack is above -1e-9, 1 when some bound is violated, 2 for invalid
-flags or parameters.
+reported slack is at or above -1e-9 * B * R, 1 when some bound is violated,
+2 for invalid flags or parameters.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import sys
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +56,7 @@ class _Method(NamedTuple):
     flag: str | None  # the `run` flag holding the step parameter
     schedule: Callable[[int, Any], solver.StepSchedule]  # from (N, param)
     rate: Callable[[int, Any], float] | None  # last-iterate rate per B*R
+    draw: Callable[[np.random.Generator, int], Any]  # certify's random param
 
 
 _METHODS = {
@@ -64,36 +64,37 @@ _METHODS = {
         "h",
         lambda N, h: solver.StepSchedule.constant_normalized(h),
         lambda N, h: rates.constant_step_rate(N, h),
+        lambda rng, N: rng.uniform(0.05, 1.2),
     ),
     "length": _Method(
         "t",
         lambda N, t: solver.StepSchedule.constant_length(t),
         lambda N, t: rates.constant_length_rate(N, t),
+        lambda rng, N: rng.uniform(0.05, 1.0),
     ),
     "optimal": _Method(
         None,
         lambda N, _: solver.StepSchedule.optimal_last_iterate(N),
         lambda N, _: rates.optimal_method_rate(N),
+        lambda rng, N: None,
     ),
     "optimal-length": _Method(
         None,
         lambda N, _: solver.StepSchedule.optimal_length(N),
         lambda N, _: rates.optimal_method_rate(N),
+        lambda rng, N: None,
     ),
-    "custom": _Method(None, lambda N, steps: solver.StepSchedule.custom(steps), None),
+    "custom": _Method(
+        None,
+        lambda N, steps: solver.StepSchedule.custom(steps),
+        None,
+        lambda rng, N: rng.uniform(0.02, 0.8, N),
+    ),
 }
 
 
 class CliError(Exception):
     """Invalid flag combination or parameter value (exit status 2)."""
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 @contextlib.contextmanager
@@ -112,19 +113,13 @@ def _open_out(out: str):
 
 
 def _write_rows(rows: list[dict], columns: list[str], fmt: str, out) -> None:
+    """CSV (``None`` as an empty field, floats as their repr) or JSON."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-        payload = buf.getvalue()
+        writer = csv.DictWriter(out, columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     else:
-        payload = json.dumps(
-            [{c: row[c] for c in columns} for row in rows], indent=2
-        )
-        payload += "\n"
-    out.write(payload)
+        out.write(json.dumps(rows, indent=2) + "\n")
 
 
 def _custom_steps(args) -> list[float]:
@@ -143,18 +138,16 @@ def _custom_steps(args) -> list[float]:
         raise CliError(f"--steps-file must hold numbers: {exc}") from exc
 
 
-def _instance(args, N: int, h: float | None, shared_random=None) -> ProblemInstance:
+def _instance(args, N: int, h: float | None) -> ProblemInstance:
     """The ``--instance`` problem for a cell of horizon N and step h, at the
-    requested B and R, which the caller has validated.  ``worstcase`` picks
-    the tight construction for the cell's side of the knee; ``shared_random``
-    stands in for a fresh random instance."""
-    B, R = args.B, args.R
+    requested B and R.  ``worstcase`` picks the tight construction for the
+    cell's side of the knee."""
     key = args.instance
     if key == "worstcase":
         key = "longstep" if h is not None and h > rates.knee(N) else "abs"
     if key == "abs":
-        return worstcase.abs_instance(B, R)
-    if key == "longstep":
+        p = worstcase.abs_instance()
+    elif key == "longstep":
         if h is None:
             raise CliError("--instance longstep needs a step h (--h or --h-grid)")
         p = worstcase.long_step_instance(N, h, scripted=args.method == "constant")
@@ -169,10 +162,8 @@ def _instance(args, N: int, h: float | None, shared_random=None) -> ProblemInsta
         scripted = args.method == "custom" and N == 2 and args.steps_file is None
         p = make(args.h2, scripted=scripted)
     else:
-        p = shared_random or worstcase.random_instance(
-            args.dim, args.directions, seed=args.seed
-        )
-    return p if B == R == 1.0 else scale_instance(p, B, R)
+        p = worstcase.random_instance(args.dim, args.directions, seed=args.seed)
+    return scale_instance(p, args.B, args.R)
 
 
 def _cell_row(
@@ -181,7 +172,7 @@ def _cell_row(
     param: float | None,
     p: ProblemInstance,
     schedule: solver.StepSchedule,
-    include_log_bound: bool = False,
+    include_log_bound: bool,
 ) -> dict:
     trace = solver.run(p, schedule, N=N)
     BR = p.B * p.R
@@ -220,26 +211,32 @@ def _cell_row(
     return row
 
 
+def _report(args, cells: Iterable[tuple], columns: list[str]) -> int:
+    """Open ``--out``, write one row per (N, param, instance, schedule) cell
+    and return the exit status: 1, naming the worst cell on stderr, when the
+    least slack is below ``SLACK_FLOOR * B * R``, else 0."""
+    with _open_out(args.out) as out:
+        rows = [_cell_row(args, *cell, "bound_log" in columns) for cell in cells]
+        _write_rows(rows, columns, args.format, out)
+    worst = min(rows, key=lambda row: row["slack"])
+    if worst["slack"] < SLACK_FLOOR * args.B * args.R:
+        print(
+            f"bound violated: N={worst['N']} h={worst['h']} slack={worst['slack']!r}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def _cmd_run(args) -> int:
     N = rates._validate_horizon(args.N)
-    rates._validate_scale(args.B, args.R)
     p = _instance(args, N, args.h)
     method = _METHODS[args.method]
     param = None if method.flag is None else getattr(args, method.flag)
     if method.flag is not None and param is None:
         raise CliError(f"--method {args.method} requires --{method.flag}")
     steps = _custom_steps(args) if args.method == "custom" else param
-    schedule = method.schedule(N, steps)
-    with _open_out(args.out) as out:
-        row = _cell_row(args, N, param, p, schedule)
-        _write_rows([row], COLUMNS, args.format, out)
-    if row["slack"] < SLACK_FLOOR:
-        print(
-            f"bound violated: slack={row['slack']!r} below {SLACK_FLOOR}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _report(args, [(N, param, p, method.schedule(N, steps))], COLUMNS)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -279,32 +276,11 @@ def _cmd_sweep(args) -> int:
         raise CliError(f"--method {args.method} {need} --h-grid")
     grid = _parse_grid(args.h_grid) if has_step else [None]
     rates._validate_scale(args.B, args.R)
-    shared_random = None
-    if args.instance == "random":
-        shared_random = worstcase.random_instance(
-            args.dim, args.directions, seed=args.seed
-        )
-
     make_schedule = _METHODS[args.method].schedule
-    with _open_out(args.out) as out:
-        rows = [
-            _cell_row(
-                args, N, h, _instance(args, N, h, shared_random), make_schedule(N, h),
-                include_log_bound=True,
-            )
-            for N in n_values
-            for h in grid
-        ]
-        _write_rows(rows, SWEEP_COLUMNS, args.format, out)
-    worst = min(row["slack"] for row in rows)
-    if worst < SLACK_FLOOR:
-        bad = next(r for r in rows if r["slack"] == worst)
-        print(
-            f"bound violated: N={bad['N']} h={bad['h']} slack={worst!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    cells = (  # built lazily, after --out is open
+        (N, h, _instance(args, N, h), make_schedule(N, h)) for N in n_values for h in grid
+    )
+    return _report(args, cells, SWEEP_COLUMNS)
 
 
 def _cmd_certify(args) -> int:
@@ -312,13 +288,7 @@ def _cmd_certify(args) -> int:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     N = rates._validate_horizon(args.N)
 
-    draws = (  # each method's step parameter, drawn in trial order
-        ("constant", lambda rng: rng.uniform(0.05, 1.2)),
-        ("length", lambda rng: rng.uniform(0.05, 1.0)),
-        ("optimal", lambda rng: None),
-        ("optimal-length", lambda rng: None),
-        ("custom", lambda rng: rng.uniform(0.02, 0.8, N)),
-    )
+    methods = list(_METHODS.values())  # trials cycle through them in order
     min_slack = math.inf
     min_trial = -1
     violations: list[tuple[int, float]] = []
@@ -327,8 +297,8 @@ def _cmd_certify(args) -> int:
         dim = int(rng.integers(2, 9))
         directions = int(rng.integers(1, 2 * dim + 1))
         p = worstcase.random_instance(dim, directions, seed=rng)
-        method, draw = draws[trial % len(draws)]
-        schedule = _METHODS[method].schedule(N, draw(rng))
+        method = methods[trial % len(methods)]
+        schedule = method.schedule(N, method.draw(rng, N))
         trace = solver.run(p, schedule, N=N)
 
         v = np.sort(rng.uniform(0.05, 2.0, N + 2))

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IncompatibleLength, ScriptedPieceInactive
 from .rates import _validate_scale
 
-# Subgradients with norm at or below this are treated as exact zeros
+# Subgradients with norm at or below this times B are treated as exact zeros
 # (the method has hit a minimizer and stops moving).
 ZERO_TOL = 1e-14
 
@@ -64,10 +64,6 @@ class SubgradientSample:
     value: float
     subgradient: np.ndarray
     norm: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.norm <= ZERO_TOL
 
     @classmethod
     def of(cls, value: float, subgradient: np.ndarray) -> "SubgradientSample":
@@ -265,16 +261,19 @@ def project_ball(center, radius: float) -> Projection:
 def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
     """Rescale a normalized piecewise-linear instance (B = R = 1).
 
-    The new objective is f'(x) = B * R * f(x / R) over the dilated feasible
-    set R * X, which maps minimizers to R * x_star and keeps every rate in
-    the package exact after multiplying by B * R.  The oracle stays
-    ``eval_plmax`` on the same pieces, with (B, R) bound next to them, so a
-    scaled run answers through the same path as an unscaled one.  Instances
-    with any other oracle raise ``ValueError``.
+    This is the one place where (B, R) enters an instance; B = R = 1
+    returns ``p`` itself.  The new objective is f'(x) = B * R * f(x / R)
+    over the dilated feasible set R * X, which maps minimizers to R * x_star
+    and keeps every rate in the package exact after multiplying by B * R.
+    The oracle stays ``eval_plmax`` on the same pieces, with (B, R) bound
+    next to them, so a scaled run answers through the same path as an
+    unscaled one.  Instances with any other oracle raise ``ValueError``.
     """
     if abs(p.B - 1.0) > 1e-12 or abs(p.R - 1.0) > 1e-12:
         raise ValueError("scale_instance expects a normalized instance with B = R = 1")
     B, R = _validate_scale(B, R)
+    if B == R == 1.0:
+        return p
     oracle = p.oracle
     if not (isinstance(oracle, partial) and oracle.func is eval_plmax):
         raise ValueError(f"scale_instance needs a piecewise-linear oracle, {p.name} has another")
@@ -304,7 +303,7 @@ def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
 def check_instance(p: ProblemInstance, pairs: int = 1000, seed: int = 0) -> None:
     """Stress the oracle contract on random feasible point pairs.
 
-    Checks, for each pair (x, y) obtained by projecting random draws:
+    Checks, for each pair (x, y) obtained by projecting random samples:
 
       * the subgradient inequality f(y) >= f(x) + <g(x), y - x> up to
         1e-9 * max(1, B * R),

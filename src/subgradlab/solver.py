@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ProblemInstance, as_point
+from .core import ZERO_TOL, ProblemInstance, as_point
 from .errors import IncompatibleLength, InfeasibleReference, ScheduleExhausted
 from .rates import _validate_horizon, _validate_scale, _validate_step, _validate_steps
 
@@ -162,7 +162,7 @@ def run(
         values[k - 1] = sample.value
         g = sample.subgradient
         subgradients[k - 1] = g
-        if sample.is_zero:
+        if sample.norm <= ZERO_TOL * p.B:
             terminated_early = True
             values[k - 1 :] = sample.value
             for j in range(k, N + 1):

@@ -18,14 +18,13 @@ from itertools import islice
 
 import numpy as np
 
-from .core import PiecewiseLinearMax, ProblemInstance, instance_from_pieces
+from .core import PiecewiseLinearMax, ProblemInstance, instance_from_pieces, scale_instance
 from .errors import InvariantViolation, StepOutOfRange, StepTooSmall
 from .rates import (
     TWO_STEP_FIRST,
     TWO_STEP_KNEE,
     RateReport,
     _validate_horizon,
-    _validate_scale,
     _validate_step,
     constant_step_rate,
     knee,
@@ -39,21 +38,13 @@ def abs_instance(B: float = 1.0, R: float = 1.0) -> ProblemInstance:
 
     The short-step worst case: with constant normalized step h <= 1/N the
     iterates walk straight toward 0 and the final gap is exactly
-    B R (1 - N h).
+    B R (1 - N h).  The unit |x| is dilated by ``scale_instance``.
     """
-    B, R = _validate_scale(B, R)
-    pieces = PiecewiseLinearMax(
-        slopes=np.array([[B], [-B]]), intercepts=np.zeros(2)
+    pieces = PiecewiseLinearMax(slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2))
+    unit = instance_from_pieces(
+        pieces, f_star=0.0, x_star=[0.0], x_start=[1.0], B=1.0, R=1.0, name="abs"
     )
-    return instance_from_pieces(
-        pieces,
-        f_star=0.0,
-        x_star=[0.0],
-        x_start=[R],
-        B=B,
-        R=R,
-        name=f"abs(B={B},R={R})",
-    )
+    return scale_instance(unit, B, R)
 
 
 def long_step_instance(N: int, h: float, scripted: bool = True) -> ProblemInstance:

@@ -6,6 +6,7 @@ certification criteria are kept in a registry so the best-iterate criterion
 can audit every trajectory produced here.
 """
 
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -315,17 +316,23 @@ def test_criterion_8_scale_invariance():
     with criterion(8, "gaps scale linearly in B*R"):
         from subgradlab import scale_instance
 
+        # Besides 20 drawn scales, two where a tolerance that does not scale
+        # with B*R misjudges a zero subgradient or an active piece.
+        fixed = [(1e-15, 1.0), (1e-5, 1e-5)]
         rng = np.random.default_rng(816)
-        for i in range(20):
-            B = float(10.0 ** rng.uniform(-1, 1))
-            R = float(10.0 ** rng.uniform(-1, 1))
+        for i in range(20 + len(fixed)):
+            if i < 20:
+                B = float(10.0 ** rng.uniform(-1, 1))
+                R = float(10.0 ** rng.uniform(-1, 1))
+            else:
+                B, R = fixed[i - 20]
             unit = random_instance(5, 7, seed=i)
-            scaled = scale_instance(unit, B, R)
+            pairs = [(unit, scale_instance(unit, B, R)), (abs_instance(), abs_instance(B, R))]
             N = int(rng.integers(1, 12))
             h = float(rng.uniform(0.05, 1.0))
-            for schedule in (
-                StepSchedule.constant_normalized(h),
-                StepSchedule.optimal_last_iterate(N),
+            for (unit, scaled), schedule in itertools.product(
+                pairs,
+                (StepSchedule.constant_normalized(h), StepSchedule.optimal_last_iterate(N)),
             ):
                 tu = run(unit, schedule, N=N)
                 ts = run(scaled, schedule, N=N)

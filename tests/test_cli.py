@@ -215,23 +215,33 @@ def test_scale_near_one_is_used_as_given(capsys):
     "argv,message,n_rows",
     [
         (("run", "--method", "constant", "--N", "2", "--h", "0.1", "--instance", "abs"),
-         "bound violated: slack=", 1),
+         "bound violated: N=2 h=0.1 slack=", 1),
         (("sweep", "--N-list", "2", "--h-grid", "0.1:0.2:0.1", "--instance", "abs"),
          "bound violated: N=2 h=0.1 slack=", 2),
+        # A tight cell whose slack is rounding at B*R = 1e6: not a violation.
+        (("sweep", "--instance", "worstcase", "--N-list", "150", "--h-grid", "0.6:0.6:0.1",
+          "--B", "1e3", "--R", "1e3"), None, 1),
     ],
 )
 def test_violated_bound_exits_one_and_still_writes_rows(
     capsys, monkeypatch, argv, message, n_rows
 ):
-    broken = cli._METHODS["constant"]._replace(rate=lambda N, h: -1.0)
-    monkeypatch.setitem(cli._METHODS, "constant", broken)
+    if message is not None:
+        broken = cli._METHODS["constant"]._replace(rate=lambda N, h: -1.0)
+        monkeypatch.setitem(cli._METHODS, "constant", broken)
     code, out, err = invoke(capsys, *argv)
-    assert code == 1
-    assert err.startswith(message)
     header, rows = parse_csv(out)
     assert header[: len(COLUMNS)] == COLUMNS
     assert len(rows) == n_rows
-    assert all(float(dict(zip(header, r))["slack"]) < -1e-9 for r in rows)
+    rows = [dict(zip(header, r)) for r in rows]
+    if message is None:
+        assert (code, err) == (0, "")
+        for row in rows:
+            assert float(row["last_gap"]) == pytest.approx(float(row["bound_last"]), rel=1e-12)
+        return
+    assert code == 1
+    assert err.startswith(message)
+    assert all(float(row["slack"]) < -1e-9 for row in rows)
 
 
 def test_certify_violation_exits_one(capsys, monkeypatch):

@@ -70,11 +70,6 @@ def test_scripted_inactive_piece_rejected():
         eval_plmax(pieces, np.array([5.0]), k=1)
 
 
-def test_sample_zero_detection():
-    assert SubgradientSample.of(1.0, np.zeros(3)).is_zero
-    assert not SubgradientSample.of(1.0, np.array([0.0, 1e-10, 0.0])).is_zero
-
-
 def test_sample_norm_matches_linalg_norm():
     for g in (np.zeros(3), np.array([0.0, 1e-10, 0.0]), np.array([3.0, -4.0, 0.1])):
         assert SubgradientSample.of(1.0, g).norm == np.linalg.norm(g)

@@ -6,10 +6,13 @@ significant digits, so the reference carries no float rounding, and each
 float result must sit within a stated relative error of it:
 
 * s_{1,k} and the knee 1/s_{N+1}^2: 1e-14;
-* ``constant_step_rate`` (both branches) and the optimal constant-step
-  rate: 16 (N + 1) max(1, h) units of 2^-52.  Each of the N recursion
-  steps may add a rounding of s_k, and the long-step branch multiplies
-  that error by about h.
+* ``constant_step_rate`` (both branches), the optimal constant-step
+  rate, and the last gap the short-step and long-step worst cases attain
+  (``tightness_report``): 16 (N + 1) max(1, h) units of 2^-52.  Each of
+  the N recursion steps may add a rounding of s_k, and the long-step
+  branch multiplies that error by about h;
+* the last gap the two-step worst cases attain against
+  ``two_step_worst_gap``: 16 units of 2^-52.
 """
 
 import decimal
@@ -18,12 +21,23 @@ from itertools import islice
 
 import pytest
 
-from subgradlab import constant_step_rate, iter_s, optimal_constant_step, s
-from subgradlab.rates import knee
+from subgradlab import (
+    constant_step_rate,
+    iter_s,
+    last_gap,
+    optimal_constant_step,
+    run,
+    s,
+    tightness_report,
+)
+from subgradlab.rates import TWO_STEP_KNEE, knee
+from subgradlab.worstcase import two_step_schedule, two_step_worst_long, two_step_worst_small
 
 K_MAX = 20_001
 N_VALUES = [1, 2, 3, 5, 10, 20, 50, 100, 150, 200, 1000, 5000, 10_000, 20_000]
 H_VALUES = [1e-5, 1e-3, 0.01, 0.02, 0.05, 0.1, 0.3, 0.6, 1.0, 2.0, 5.0]
+TIGHT_H = [0.01, 0.02, 0.05, 0.1, 0.3, 0.6, 1.0, 2.0]
+H2_VALUES = [0.001, 0.01, 0.05, TWO_STEP_KNEE, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0]
 EPS = 2.0 ** -52
 
 CONTEXT = decimal.Context(prec=50)
@@ -78,9 +92,39 @@ def test_constant_step_rate_both_branches(exact_s, N):
         assert err < 16 * (N + 1) * max(1.0, h) * EPS, (N, h, err)
 
 
+def exact_two_step_gap(h2: float) -> Decimal:
+    """The two branches of ``two_step_worst_gap``, split where the worst-case
+    instances split (the branches meet at the knee)."""
+    short = h2 <= TWO_STEP_KNEE
+    h2 = Decimal(h2)
+    with decimal.localcontext(CONTEXT):
+        sqrt2 = Decimal(2).sqrt()
+        if short:
+            return 1 / sqrt2 - h2
+        return h2 + 1 / (64 * h2) + 16 * h2 / (1 + 8 * sqrt2 * h2) ** 2
+
+
 @pytest.mark.parametrize("N", N_VALUES)
 def test_optimal_constant_step_rate(exact_s, N):
     with decimal.localcontext(CONTEXT):
         exact = (1 - 2 * N / exact_s[N] ** 2).sqrt()
     err = rel_err(optimal_constant_step(N).rate, exact)
     assert err < 16 * (N + 1) * EPS, (N, err)
+
+
+def test_worst_cases_attain_the_exact_rate(exact_s):
+    for N in [N for N in N_VALUES if N <= 200]:
+        with decimal.localcontext(CONTEXT):
+            s2 = exact_s[N] ** 2
+        for h in TIGHT_H:
+            err = rel_err(tightness_report(N, h).observed_gap, exact_rate(s2, N, h))
+            assert err < 16 * (N + 1) * max(1.0, h) * EPS, (N, h, err)
+
+
+def test_two_step_worst_cases_attain_the_exact_gap():
+    for h2 in H2_VALUES:
+        make = two_step_worst_small if h2 <= TWO_STEP_KNEE else two_step_worst_long
+        p = make(h2)
+        gap = last_gap(run(p, two_step_schedule(h2), N=2), p)
+        err = rel_err(gap, exact_two_step_gap(h2))
+        assert err < 16 * EPS, (h2, err)
