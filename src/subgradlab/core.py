@@ -16,9 +16,10 @@ silently turn the instance into a different function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -55,11 +56,16 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SubgradientSample:
+class SubgradientSample(NamedTuple):
     """One oracle answer: the function value, a single subgradient and its
     Euclidean ``norm``, computed once by :meth:`of` and read by both the B
-    check in ``ProblemInstance.evaluate`` and the step rule in ``solver.run``."""
+    check in ``ProblemInstance.evaluate`` and the step rule in ``solver.run``.
+
+    :meth:`of` takes the norm as ``math.sqrt(g.dot(g))``, the correctly
+    rounded square root of the same dot product ``np.linalg.norm`` takes for
+    a 1-D float64 vector, so the two agree bit for bit.  The record is an
+    immutable tuple, but ``subgradient`` may be a view of the oracle's own
+    data (a row of the pieces' slopes); callers must not write to it."""
 
     value: float
     subgradient: np.ndarray
@@ -68,7 +74,7 @@ class SubgradientSample:
     @classmethod
     def of(cls, value: float, subgradient: np.ndarray) -> "SubgradientSample":
         g = np.asarray(subgradient, dtype=np.float64)
-        return cls(float(value), g, float(np.linalg.norm(g)))
+        return cls(float(value), g, math.sqrt(g.dot(g)))
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,12 @@ class PiecewiseLinearMax:
 
 
 def eval_plmax(
-    f: PiecewiseLinearMax, x: np.ndarray, k: int | None = None, *, B: float = 1.0, R: float = 1.0
+    f: PiecewiseLinearMax,
+    x: np.ndarray,
+    k: int | None = None,
+    *,
+    B: float | None = None,
+    R: float | None = None,
 ) -> SubgradientSample:
     """Evaluate B * R * f(x / R), the piecewise-linear max dilated by (B, R).
 
@@ -121,11 +132,14 @@ def eval_plmax(
     slope of the scripted piece for iteration ``k`` when a script entry
     exists, and of the highest-index active piece otherwise.  A piece counts
     as active when its value at x / R is within ``ACTIVE_TOL * (1 + |max|)``
-    of the maximum there, so the choice does not depend on (B, R).  With the
-    default B = R = 1 every scaling operation is exact.
+    of the maximum there, so the choice does not depend on (B, R).  A scale
+    left as ``None`` counts as 1 and is not applied at all; scaling by 1 is
+    exact, so the bits are those of B = R = 1.  Without (B, R) the
+    subgradient is the chosen row of ``f.slopes`` itself, not a copy.
     """
-    vals = f.slopes @ (np.asarray(x, dtype=np.float64) / R) + f.intercepts
-    fmax = float(np.max(vals))
+    x = np.asarray(x, dtype=np.float64)
+    vals = f.slopes @ (x if R is None else x / R) + f.intercepts
+    fmax = float(np.maximum.reduce(vals))
     threshold = fmax - ACTIVE_TOL * (1.0 + abs(fmax))
     if f.scripted_choices is not None and k is not None and k in f.scripted_choices:
         piece = f.scripted_choices[k]
@@ -135,7 +149,11 @@ def eval_plmax(
                 f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
             )
     else:
-        piece = int(np.nonzero(vals >= threshold)[0][-1])
+        piece = (vals >= threshold).nonzero()[0][-1]
+    if B is None and R is None:
+        return SubgradientSample.of(fmax, f.slopes[piece])
+    B = 1.0 if B is None else B
+    R = 1.0 if R is None else R
     return SubgradientSample.of(B * R * fmax, B * f.slopes[piece])
 
 
@@ -220,8 +238,13 @@ def instance_from_pieces(
 
 
 def project_all(y: np.ndarray) -> np.ndarray:
-    """Projection onto the whole space: the identity."""
-    return np.array(y, dtype=np.float64, copy=True)
+    """Projection onto the whole space: the identity.
+
+    Returns its argument itself, not a copy; callers must not mutate the
+    result.  ``solver.run`` passes an array it has just built and copies it
+    into the trace.
+    """
+    return y
 
 
 def project_box(lo, hi) -> Projection:
@@ -280,7 +303,7 @@ def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
     inner_projection = p.projection
 
     def projection(y: np.ndarray) -> np.ndarray:
-        return R * inner_projection(np.asarray(y, dtype=np.float64) / R)
+        return R * inner_projection(y / R)
 
     return ProblemInstance(
         oracle=partial(

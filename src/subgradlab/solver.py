@@ -156,23 +156,24 @@ def run(
     subgradients = np.empty((N + 1, p.dimension))
     points[0] = x
     terminated_early = False
+    evaluate, project, step_size = p.evaluate, p.projection, schedule.step_size
+    zero_norm = ZERO_TOL * p.B
 
     for k in range(1, N + 1):
-        sample = p.evaluate(x, k)
-        values[k - 1] = sample.value
-        g = sample.subgradient
+        value, g, norm = evaluate(x, k)
+        values[k - 1] = value
         subgradients[k - 1] = g
-        if sample.norm <= ZERO_TOL * p.B:
+        if norm <= zero_norm:
             terminated_early = True
-            values[k - 1 :] = sample.value
+            values[k - 1 :] = value
             for j in range(k, N + 1):
                 steps[j - 1] = schedule.nominal_step(j, p)
             points[k:] = x
             subgradients[k - 1 :] = g
             break
-        h_k = schedule.step_size(k, p, sample.norm)
+        h_k = step_size(k, p, norm)
         steps[k - 1] = h_k
-        x = p.projection(x - h_k * g)
+        x = project(x - h_k * g)
         points[k] = x
 
     last = p.evaluate(x, N + 1)

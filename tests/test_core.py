@@ -71,8 +71,71 @@ def test_scripted_inactive_piece_rejected():
 
 
 def test_sample_norm_matches_linalg_norm():
-    for g in (np.zeros(3), np.array([0.0, 1e-10, 0.0]), np.array([3.0, -4.0, 0.1])):
-        assert SubgradientSample.of(1.0, g).norm == np.linalg.norm(g)
+    rng = np.random.default_rng(17)
+    vectors = [np.zeros(3), np.array([0.0, 1e-10, 0.0]), np.array([3.0, -4.0, 0.1])]
+    vectors += [rng.standard_normal(d) * 10.0 ** rng.integers(-8, 8) for d in (1, 2, 8, 32, 201)]
+    vectors += list(long_step_instance(200, 0.3).oracle.args[0].slopes)
+    for g in vectors:
+        assert SubgradientSample.of(1.0, g).norm == float(np.linalg.norm(g))
+
+
+def test_sample_is_an_immutable_record():
+    sample = SubgradientSample.of(1, [3.0, 4.0])
+    assert (type(sample.value), sample.norm) == (float, 5.0)
+    assert sample.subgradient.dtype == np.float64
+    with pytest.raises(AttributeError):
+        sample.norm = 0.0
+
+
+def _bits(sample):
+    return (
+        np.float64(sample.value).tobytes(),
+        sample.subgradient.tobytes(),
+        np.float64(sample.norm).tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [random_instance(8, 16, seed=3).oracle.args[0], long_step_instance(20, 0.4).oracle.args[0]],
+    ids=["random", "longstep"],
+)
+def test_unit_oracle_equals_the_explicit_unit_dilation(pieces):
+    rng = np.random.default_rng(5)
+    for x in rng.standard_normal((100, pieces.dimension)):
+        assert _bits(eval_plmax(pieces, x)) == _bits(eval_plmax(pieces, x, B=1.0, R=1.0))
+
+
+def test_unit_scale_binds_nothing_into_the_oracle():
+    p = random_instance(4, 6, seed=2)
+    assert scale_instance(p, 1.0, 1.0).oracle.keywords == {}
+    assert p.oracle.keywords == {}
+
+
+def test_project_all_returns_its_argument():
+    y = np.array([1.0, -2.0])
+    assert project_all(y) is y
+
+
+def test_evaluate_accepts_a_list():
+    p = random_instance(2, 4, seed=1)
+    assert _bits(p.evaluate([0.1, 0.2])) == _bits(p.evaluate(np.array([0.1, 0.2])))
+
+
+@pytest.mark.parametrize("scale", [None, (2.0, 3.0)], ids=["unit", "scaled"])
+def test_run_copies_every_point_and_subgradient(scale):
+    p = random_instance(3, 5, seed=8)
+    if scale is not None:
+        p = scale_instance(p, *scale)
+    x1 = np.array([0.2, -0.1, 0.3]) * p.R
+    before = x1.copy()
+    trace = run(p, StepSchedule.constant_length(0.05), x1=x1, N=12)
+    assert np.array_equal(x1, before)
+    rows = list(trace.points)
+    for i, row in enumerate(rows):
+        assert not np.shares_memory(row, x1)
+        assert not any(np.shares_memory(row, other) for other in rows[i + 1 :])
+    assert not np.shares_memory(trace.subgradients, p.oracle.args[0].slopes)
 
 
 def test_pieces_validation():

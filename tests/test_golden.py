@@ -55,6 +55,14 @@ CASES = {
         "--h-grid", "0.3:0.5:0.1", "--B", "0.7", "--R", "1.3",
     ),
     "certify_300.txt": ("certify", "--trials", "300", "--N", "7", "--seed", "9"),
+    "run_random_constant_unscaled.csv": (
+        "run", "--instance", "random", "--method", "constant", "--N", "20000",
+        "--dim", "32", "--directions", "64", "--h", "0.1", "--seed", "4",
+    ),
+    "run_random_optimal_length_scaled.csv": (
+        "run", "--instance", "random", "--method", "optimal-length", "--N", "5000",
+        "--dim", "2", "--directions", "4", "--seed", "5", "--B", "2", "--R", "3",
+    ),
 }
 
 
