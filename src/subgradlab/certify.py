@@ -53,9 +53,10 @@ class WeightSequence:
         v = np.asarray(self.v, dtype=np.float64).reshape(-1)
         if len(v) < 2:
             raise IncompatibleLength("need at least v_0 and v_1")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("weights have non-finite entries")
-        if v[0] <= 0 or np.any(np.diff(v) < 0):
+        # v[1:] < v[:-1] is np.diff(v) < 0 for the finite v checked above
+        if v[0] <= 0 or (v[1:] < v[:-1]).any():
             raise MonotonicityViolation(
                 "weights must be positive and non-decreasing"
             )
@@ -79,12 +80,12 @@ def coefficients(w: WeightSequence, steps: Sequence[float]) -> np.ndarray:
         raise IncompatibleLength(
             f"weights expect {w.horizon} realized steps, got {steps.shape}"
         )
-    h = np.append(steps, w.h_last)  # h_1 .. h_{N+1}
+    h = np.concatenate((steps, (w.h_last,)))  # h_1 .. h_{N+1}
     v = w.v
-    hv = h * v[1:]
+    v1 = v[1:]
     # suffix[k-1] = sum_{i=k}^{N+1} h_i v_i
-    suffix = np.cumsum(hv[::-1])[::-1]
-    return h * v[1:] ** 2 - np.diff(v) * suffix
+    suffix = (h * v1)[::-1].cumsum()[::-1]
+    return h * v1**2 - (v1 - v[:-1]) * suffix
 
 
 class LemmaCheck(NamedTuple):
@@ -109,18 +110,20 @@ def verify_lemma(
         raise InfeasibleReference("reference point is not in the feasible set")
 
     f_hat = p.evaluate(x_hat).value
-    lhs = float(np.dot(c, trace.values - f_hat))
+    lhs = float(c.dot(trace.values - f_hat))
 
     g = trace.subgradients
-    # np.dot for the last squared norm on purpose: the certify output pins its
+    # A dot for the last squared norm on purpose: the certify output pins its
     # bits, which a row-wise sum can move, until one fixed-order kernel serves both.
-    g_norms_sq = np.append(np.sum(g[:-1] ** 2, axis=1), float(np.dot(g[-1], g[-1])))
-    h = np.append(trace.steps, w.h_last)
+    g_norms_sq = np.add.reduce(g * g, axis=1)
+    g_norms_sq[-1] = g[-1].dot(g[-1])
+    h = np.concatenate((trace.steps, (w.h_last,)))
     v = w.v
-    rhs = 0.5 * v[0] ** 2 * float(
-        np.sum((trace.points[0] - x_hat) ** 2)
-    ) + 0.5 * float(np.sum(h**2 * v[1:] ** 2 * g_norms_sq))
-    rhs = float(rhs)
+    d = trace.points[0] - x_hat
+    rhs = float(
+        0.5 * v[0] ** 2 * float(np.add.reduce(d * d))
+        + 0.5 * float(np.add.reduce(h**2 * v[1:] ** 2 * g_norms_sq))
+    )
     return LemmaCheck(lhs, rhs, rhs - lhs)
 
 

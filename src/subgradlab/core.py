@@ -17,7 +17,7 @@ silently turn the instance into a different function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
@@ -49,7 +49,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point has non-finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise IncompatibleLength(f"expected dimension {dim}, got {arr.shape[0]}")
@@ -85,14 +85,23 @@ class PiecewiseLinearMax:
     (0-based row of ``slopes``) whose slope the oracle must return at that
     iteration.  Unscripted queries return the highest-index active piece,
     which makes tie-breaking deterministic.
+
+    ``slope_norms`` holds the Euclidean norm of each row of ``slopes``,
+    taken once at construction with ``np.linalg.norm``'s own formula (the
+    square root of the row sums of squares), so it equals
+    ``np.linalg.norm(slopes, axis=1)`` bit for bit.  The slopes must not be
+    written to afterwards.
     """
 
     slopes: np.ndarray
     intercepts: np.ndarray
     scripted_choices: Mapping[int, int] | None = None
+    slope_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slopes = np.atleast_2d(np.asarray(self.slopes, dtype=np.float64))
+        slopes = np.asarray(self.slopes, dtype=np.float64)
+        if slopes.ndim < 2:
+            slopes = slopes.reshape(1, -1)
         intercepts = np.asarray(self.intercepts, dtype=np.float64).reshape(-1)
         if slopes.shape[0] == 0:
             raise ValueError("need at least one piece")
@@ -100,10 +109,13 @@ class PiecewiseLinearMax:
             raise IncompatibleLength(
                 f"{slopes.shape[0]} slopes vs {intercepts.shape[0]} intercepts"
             )
-        if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))):
+        if not (np.isfinite(slopes).all() and np.isfinite(intercepts).all()):
             raise ValueError("pieces have non-finite entries")
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
+        object.__setattr__(
+            self, "slope_norms", np.sqrt(np.add.reduce(slopes * slopes, axis=1))
+        )
         if self.scripted_choices is not None:
             m = slopes.shape[0]
             for it, piece in self.scripted_choices.items():
@@ -115,7 +127,7 @@ class PiecewiseLinearMax:
         return self.slopes.shape[1]
 
     def max_slope_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.slopes, axis=1)))
+        return float(self.slope_norms.max())
 
 
 def eval_plmax(
@@ -136,9 +148,10 @@ def eval_plmax(
     left as ``None`` counts as 1 and is not applied at all; scaling by 1 is
     exact, so the bits are those of B = R = 1.  Without (B, R) the
     subgradient is the chosen row of ``f.slopes`` itself, not a copy.
+    ``x`` must be a float64 array; ``ProblemInstance.evaluate`` coerces it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    vals = f.slopes @ (x if R is None else x / R) + f.intercepts
+    vals = f.slopes.dot(x if R is None else x / R)  # the gemv of `@`, without the ufunc
+    vals += f.intercepts
     fmax = float(np.maximum.reduce(vals))
     threshold = fmax - ACTIVE_TOL * (1.0 + abs(fmax))
     if f.scripted_choices is not None and k is not None and k in f.scripted_choices:
@@ -189,8 +202,8 @@ class ProblemInstance:
 
     def is_feasible(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=np.float64)
-        gap = float(np.linalg.norm(self.projection(x) - x))
-        return gap <= FEASIBLE_TOL * max(1.0, float(np.linalg.norm(x)))
+        d = self.projection(x) - x
+        return math.sqrt(d.dot(d)) <= FEASIBLE_TOL * max(1.0, math.sqrt(x.dot(x)))
 
 
 def instance_from_pieces(
@@ -216,7 +229,8 @@ def instance_from_pieces(
         B = max_norm
     elif max_norm > B * (1.0 + 1e-12):
         raise ValueError(f"slope norm {max_norm} exceeds declared B={B}")
-    dist = float(np.linalg.norm(x_start - x_star))
+    d = x_start - x_star
+    dist = math.sqrt(d.dot(d))
     if R is None:
         R = dist
     elif dist > R * (1.0 + 1e-12):

@@ -35,7 +35,7 @@ def _validate_steps(h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if h.size == 0:
         raise EmptySchedule("need at least one step")
-    if not np.all(np.isfinite(h) & (h > 0)):
+    if not (np.isfinite(h) & (h > 0)).all():
         raise StepOutOfRange("steps must be finite and positive")
     return h
 

@@ -234,8 +234,11 @@ def best_iterate_bound(h: Sequence[float], B: float, R: float) -> float:
 
     where ``h`` lists h_1 .. h_{N+1}.  Valid for every positive step
     sequence, so callers are free to extend a realized schedule by any
-    positive h_{N+1}.
+    positive h_{N+1}.  B h_k is squared before summing, never h_k alone:
+    h_k is about R / B, so B h_k stays near R while h_k^2 under- or
+    overflows when B and R are far apart (B = 1e100, R = 1e-100).
     """
     h = _validate_steps(h)
     B, R = _validate_scale(B, R)
-    return float((R * R + B * B * np.sum(h * h)) / (2.0 * np.sum(h)))
+    Bh = B * h
+    return float((R * R + np.sum(Bh * Bh)) / (2.0 * np.sum(h)))

@@ -84,13 +84,12 @@ def long_step_instance(N: int, h: float, scripted: bool = True) -> ProblemInstan
     xi[N] = xi[N - 1]
     xi[N, N] = root * gammas[N - 1]
 
-    norms = np.linalg.norm(xi, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-12):
-        raise InvariantViolation(f"long-step slopes are not unit vectors: {norms}")
-
     intercepts = np.zeros(N + 2)  # every piece passes through the origin
     choices = {k: k for k in range(1, N + 2)} if scripted else None
     pieces = PiecewiseLinearMax(slopes, intercepts, scripted_choices=choices)
+    norms = pieces.slope_norms[1:]  # also read by the B check in instance_from_pieces
+    if not (np.abs(norms - 1.0) <= 1e-12).all():
+        raise InvariantViolation(f"long-step slopes are not unit vectors: {norms}")
 
     x_start = np.zeros(N + 1)
     x_start[0] = 1.0
@@ -222,16 +221,17 @@ def random_instance(
     if directions < 1:
         raise ValueError(f"need at least one direction, got {directions}")
     rng = np.random.default_rng(seed)
-    slopes = rng.standard_normal((directions, dimension))
-    norms = np.linalg.norm(slopes, axis=1)
-    while np.any(norms < 1e-12):  # essentially impossible, but cheap to guard
+    while True:
         slopes = rng.standard_normal((directions, dimension))
-        norms = np.linalg.norm(slopes, axis=1)
+        # np.linalg.norm's own formula for row norms, without its wrapper
+        norms = np.sqrt(np.add.reduce(slopes * slopes, axis=1))
+        if not (norms < 1e-12).any():  # essentially impossible, but cheap to guard
+            break
     slopes /= norms[:, None]
     x_start = rng.standard_normal(dimension)
-    x_start /= np.linalg.norm(x_start)
+    x_start /= math.sqrt(x_start.dot(x_start))
     pieces = PiecewiseLinearMax(
-        slopes=np.vstack([slopes, -slopes]), intercepts=np.zeros(2 * directions)
+        slopes=np.concatenate((slopes, -slopes)), intercepts=np.zeros(2 * directions)
     )
     return instance_from_pieces(
         pieces,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from subgradlab import (
     IncompatibleLength,
+    PiecewiseLinearMax,
     MonotonicityViolation,
     StepOutOfRange,
     StepSchedule,
@@ -14,13 +15,16 @@ from subgradlab import (
     alpha_family_bound,
     coefficients,
     constant_step_rate,
+    instance_from_pieces,
     constant_step_weights,
     matching_alpha,
     optimal_step_weights,
     recursive_weights,
     run,
+    scale_instance,
     verify_lemma,
 )
+from subgradlab.cli import _METHODS
 from subgradlab.sequences import s
 from subgradlab.worstcase import abs_instance, random_instance
 
@@ -34,6 +38,12 @@ def test_weight_validation():
         WeightSequence(np.array([1.0]), h_last=0.1)
     with pytest.raises(ValueError):
         WeightSequence(np.array([-1.0, 2.0]), h_last=0.1)
+    with pytest.raises(MonotonicityViolation):  # a decrease of one ulp
+        WeightSequence(np.array([1.0, 2.0, np.nextafter(2.0, 0.0), 3.0]), h_last=0.1)
+    with pytest.raises(MonotonicityViolation):
+        WeightSequence(np.array([1.0, np.nextafter(1.0, 0.0)]), h_last=0.1)
+    ties = WeightSequence(np.array([1.0, 1.0, 2.0, 2.0, 2.0]), h_last=0.1)
+    assert ties.horizon == 3
 
 
 def test_coefficient_telescoping_identity():
@@ -200,3 +210,72 @@ def test_lemma_slack_nonnegative_on_random_problems(seed, N):
     x_hat = p.x_star if seed % 2 == 0 else rng.standard_normal(3)
     check = verify_lemma(trace, p, w, x_hat)
     assert check.slack >= -1e-9
+
+
+# --- the lemma against its numpy-wrapper formulas -----------------------------
+
+
+def _reference_coefficients(w, steps):
+    h = np.append(steps, w.h_last)
+    v = w.v
+    suffix = np.cumsum((h * v[1:])[::-1])[::-1]
+    return h * v[1:] ** 2 - np.diff(v) * suffix
+
+
+def _reference_lemma(trace, p, w, x_hat):
+    """``verify_lemma`` written with numpy's Python-level functions; the
+    package computes the same floats through array methods and ufuncs."""
+    c = _reference_coefficients(w, trace.steps)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    lhs = float(np.dot(c, trace.values - p.evaluate(x_hat).value))
+    g = trace.subgradients
+    g_norms_sq = np.append(np.sum(g[:-1] ** 2, axis=1), float(np.dot(g[-1], g[-1])))
+    h = np.append(trace.steps, w.h_last)
+    v = w.v
+    rhs = float(
+        0.5 * v[0] ** 2 * float(np.sum((trace.points[0] - x_hat) ** 2))
+        + 0.5 * float(np.sum(h**2 * v[1:] ** 2 * g_norms_sq))
+    )
+    return lhs, rhs, rhs - lhs
+
+
+def _flat_bottom_instance(rng, dim):
+    """max(0, <a_i, x> - 1/2) over random unit a_i, the zero piece last: a run
+    stops early once every sloped piece is below zero."""
+    m = int(rng.integers(1, 2 * dim + 1))
+    a = rng.standard_normal((m, dim))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    pieces = PiecewiseLinearMax(
+        slopes=np.vstack([a, np.zeros(dim)]), intercepts=np.append(np.full(m, -0.5), 0.0)
+    )
+    x_start = 2.0 * rng.standard_normal(dim)
+    return instance_from_pieces(pieces, f_star=0.0, x_star=np.zeros(dim), x_start=x_start)
+
+
+def test_lemma_matches_reference_formulas_bit_for_bit():
+    """300 certify-style trials: unit and scaled random instances and
+    flat-bottomed ones whose runs stop early, under every step rule."""
+    methods = list(_METHODS.values())  # certify's step rules and draws
+    early = 0
+    for trial in range(300):
+        rng = np.random.default_rng([29, trial])
+        dim = int(rng.integers(1, 9))
+        N = 1 + trial % 20
+        kind = trial % 3
+        if kind == 2:
+            p = _flat_bottom_instance(rng, dim)
+        else:
+            p = random_instance(dim, int(rng.integers(1, 2 * dim + 1)), seed=rng)
+            if kind == 1:
+                p = scale_instance(p, rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
+        method = methods[trial % len(methods)]
+        trace = run(p, method.schedule(N, method.draw(rng, N)), N=N)
+        early += trace.terminated_early
+        w = WeightSequence(np.sort(rng.uniform(0.05, 2.0, N + 2)), rng.uniform(0.05, 1.0))
+        x_hat = p.x_star if trial % 2 == 0 else rng.standard_normal(dim)
+        assert np.array_equal(
+            coefficients(w, trace.steps), _reference_coefficients(w, trace.steps)
+        )
+        got = [x.hex() for x in verify_lemma(trace, p, w, x_hat)]
+        assert got == [x.hex() for x in _reference_lemma(trace, p, w, x_hat)], trial
+    assert early >= 20

@@ -106,6 +106,22 @@ def test_unit_oracle_equals_the_explicit_unit_dilation(pieces):
         assert _bits(eval_plmax(pieces, x)) == _bits(eval_plmax(pieces, x, B=1.0, R=1.0))
 
 
+def test_oracle_value_matches_matmul_reference():
+    """The oracle's maximum equals ``max(slopes @ x + intercepts)`` bit for
+    bit, unit and dilated, on random pieces of many shapes and on long-step
+    pieces up to N = 200."""
+    rng = np.random.default_rng(41)
+    all_pieces = [long_step_instance(N, 0.6).oracle.args[0] for N in (1, 5, 50, 150, 200)]
+    for m, d in [(1, 1), (2, 3), (4, 5), (8, 8), (16, 9), (33, 17), (64, 32), (7, 201)]:
+        all_pieces.append(PiecewiseLinearMax(rng.standard_normal((m, d)), rng.standard_normal(m)))
+    for pieces in all_pieces:
+        for x in rng.standard_normal((20, pieces.dimension)):
+            unit = np.max(pieces.slopes @ x + pieces.intercepts)
+            assert eval_plmax(pieces, x).value == float(unit)
+            scaled = np.max(pieces.slopes @ (x / 3.0) + pieces.intercepts)
+            assert eval_plmax(pieces, x, B=2.0, R=3.0).value == 2.0 * 3.0 * float(scaled)
+
+
 def test_unit_scale_binds_nothing_into_the_oracle():
     p = random_instance(4, 6, seed=2)
     assert scale_instance(p, 1.0, 1.0).oracle.keywords == {}
@@ -149,6 +165,19 @@ def test_pieces_validation():
             intercepts=np.zeros(2),
             scripted_choices={1: 5},
         )
+
+
+def test_slope_norms_match_linalg_norm():
+    rng = np.random.default_rng(23)
+    all_pieces = [long_step_instance(200, 0.3).oracle.args[0], ABS_PIECES]
+    for m, d in [(1, 1), (3, 2), (16, 8), (40, 33), (7, 201)]:
+        slopes = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))
+        all_pieces.append(PiecewiseLinearMax(slopes, np.zeros(m)))
+        all_pieces.append(random_instance(d, m, seed=m).oracle.args[0])
+    for pieces in all_pieces:
+        reference = np.linalg.norm(pieces.slopes, axis=1)
+        assert np.array_equal(pieces.slope_norms, reference)
+        assert pieces.max_slope_norm() == float(np.max(reference))
 
 
 def test_instance_defaults_from_pieces():

@@ -12,26 +12,41 @@ float result must sit within a stated relative error of it:
   the N recursion steps may add a rounding of s_k, and the long-step
   branch multiplies that error by about h;
 * the last gap the two-step worst cases attain against
-  ``two_step_worst_gap``: 16 units of 2^-52.
+  ``two_step_worst_gap``: 16 units of 2^-52;
+* ``best_iterate_bound`` on realized steps: 16 (N + 1) units of 2^-52,
+  on the golden long-step sweep and at (B, R) as far apart as 1e100 and
+  1e-100, where squaring h_k alone under- or overflowed.
 """
 
+import csv
 import decimal
 from decimal import Decimal
 from itertools import islice
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subgradlab import (
+    StepSchedule,
+    best_iterate_bound,
     constant_step_rate,
     iter_s,
     last_gap,
     optimal_constant_step,
     run,
     s,
+    scale_instance,
     tightness_report,
 )
 from subgradlab.rates import TWO_STEP_KNEE, knee
-from subgradlab.worstcase import two_step_schedule, two_step_worst_long, two_step_worst_small
+from subgradlab.worstcase import (
+    long_step_instance,
+    random_instance,
+    two_step_schedule,
+    two_step_worst_long,
+    two_step_worst_small,
+)
 
 K_MAX = 20_001
 N_VALUES = [1, 2, 3, 5, 10, 20, 50, 100, 150, 200, 1000, 5000, 10_000, 20_000]
@@ -128,3 +143,52 @@ def test_two_step_worst_cases_attain_the_exact_gap():
         gap = last_gap(run(p, two_step_schedule(h2), N=2), p)
         err = rel_err(gap, exact_two_step_gap(h2))
         assert err < 16 * EPS, (h2, err)
+
+
+def exact_best_iterate_bound(h, B: float, R: float) -> Decimal:
+    """(R^2 + B^2 sum h_k^2) / (2 sum h_k) on the float inputs, at 50 digits."""
+    with decimal.localcontext(CONTEXT):
+        h = [Decimal(float(x)) for x in h]
+        B, R = Decimal(B), Decimal(R)
+        return (R * R + B * B * sum(x * x for x in h)) / (2 * sum(h))
+
+
+def _extended_steps(p, schedule, N):
+    steps = run(p, schedule, N=N).steps
+    return np.append(steps, steps[-1])  # as the CLI extends them
+
+
+def test_best_iterate_bound_golden_rows_against_exact():
+    """Every ``bound_best`` of the long-step length sweep at B = 0.7, R = 1.3
+    is the bound on that row's realized steps, within 16 (N + 1) units of
+    2^-52 of its exact value."""
+    path = Path(__file__).parent / "golden" / "sweep_longstep_length_scaled.csv"
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert rows
+    for row in rows:
+        N, t, B, R = int(row["N"]), float(row["h"]), float(row["B"]), float(row["R"])
+        p = scale_instance(long_step_instance(N, t, scripted=False), B, R)
+        h = _extended_steps(p, StepSchedule.constant_length(t), N)
+        bound = best_iterate_bound(h, B, R)
+        assert bound == float(row["bound_best"]), row
+        err = rel_err(bound, exact_best_iterate_bound(h, B, R))
+        assert err < 16 * (N + 1) * EPS, (row, err)
+
+
+@pytest.mark.parametrize(
+    "method, B, R",
+    [("length", 1e100, 1e-100), ("optimal", 1e-80, 1e80)],
+)
+def test_best_iterate_bound_at_extreme_scales(method, B, R):
+    """At (B, R) far from 1 the bound stays within 16 (N + 1) units of 2^-52
+    of the exact value, where squaring h_k alone under- or overflows."""
+    N = 50
+    p = scale_instance(random_instance(4, 6, seed=0), B, R)
+    schedule = (
+        StepSchedule.constant_length(2.0)
+        if method == "length"
+        else StepSchedule.optimal_last_iterate(N)
+    )
+    h = _extended_steps(p, schedule, N)
+    err = rel_err(best_iterate_bound(h, B, R), exact_best_iterate_bound(h, B, R))
+    assert err < 16 * (N + 1) * EPS, err

@@ -55,6 +55,7 @@ CASES = {
         "--h-grid", "0.3:0.5:0.1", "--B", "0.7", "--R", "1.3",
     ),
     "certify_300.txt": ("certify", "--trials", "300", "--N", "7", "--seed", "9"),
+    "certify_n20.txt": ("certify", "--trials", "200", "--N", "20", "--seed", "11"),
     "run_random_constant_unscaled.csv": (
         "run", "--instance", "random", "--method", "constant", "--N", "20000",
         "--dim", "32", "--directions", "64", "--h", "0.1", "--seed", "4",

@@ -145,6 +145,32 @@ def test_random_instance_deterministic():
     assert np.array_equal(a.x_start, b.x_start)
 
 
+def _reference_random_pieces(dimension, directions, seed):
+    """``random_instance``'s draws written with numpy's Python-level
+    functions: the slopes with their antipodes, and the start."""
+    rng = np.random.default_rng(seed)
+    slopes = rng.standard_normal((directions, dimension))
+    norms = np.linalg.norm(slopes, axis=1)
+    while np.any(norms < 1e-12):
+        slopes = rng.standard_normal((directions, dimension))
+        norms = np.linalg.norm(slopes, axis=1)
+    slopes /= norms[:, None]
+    x_start = rng.standard_normal(dimension)
+    x_start /= np.linalg.norm(x_start)
+    return np.vstack([slopes, -slopes]), x_start
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_random_instance_matches_reference_draws(dim):
+    for directions in (1, 2, dim, 2 * dim + 3):
+        for seed in range(10):
+            p = random_instance(dim, directions, seed=[seed, dim])
+            slopes, x_start = _reference_random_pieces(dim, directions, [seed, dim])
+            assert np.array_equal(p.oracle.args[0].slopes, slopes)
+            assert np.array_equal(p.x_start, x_start)
+            assert (p.B, p.R) == (1.0, 1.0)
+
+
 def test_tightness_report_labels():
     knee = 1.0 / s(1.0, 4) ** 2
     short = tightness_report(3, knee * 0.5)
