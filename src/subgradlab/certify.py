@@ -203,9 +203,11 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
 
     Exists only in the short-step regime h <= 1 / s_{1,N+1}^2; there the
     alpha-family bound collapses to 1 - N h.  Bisects on
-    [1, max(1, 1/sqrt(h))] to absolute tolerance ``tol``.
+    [1, max(1, 1/sqrt(h))] to absolute tolerance ``tol`` (finite and > 0),
+    or until ``lo`` and ``hi`` are adjacent floats.
     """
     target = 1.0 / math.sqrt(_validate_step(h))
+    tol = _validate_step(tol, "tol")
     if s(1.0, N + 1) > target * (1.0 + 1e-15):
         raise StepOutOfRange(
             f"h={h} is past the knee for N={N}; no seed >= 1 matches"
@@ -213,6 +215,8 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
     lo, hi = 1.0, max(1.0, target)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if s(mid, N + 1) < target:
             lo = mid
         else:

@@ -102,6 +102,8 @@ class PiecewiseLinearMax:
         slopes = np.asarray(self.slopes, dtype=np.float64)
         if slopes.ndim < 2:
             slopes = slopes.reshape(1, -1)
+        elif slopes.ndim > 2:
+            raise ValueError(f"slopes must have at most two axes, got shape {slopes.shape}")
         intercepts = np.asarray(self.intercepts, dtype=np.float64).reshape(-1)
         if slopes.shape[0] == 0:
             raise ValueError("need at least one piece")
@@ -140,13 +142,13 @@ def eval_plmax(
 ) -> SubgradientSample:
     """Evaluate B * R * f(x / R), the piecewise-linear max dilated by (B, R).
 
-    The returned value is the true maximum.  The subgradient is B times the
-    slope of the scripted piece for iteration ``k`` when a script entry
-    exists, and of the highest-index active piece otherwise.  A piece counts
-    as active when its value at x / R is within ``ACTIVE_TOL * (1 + |max|)``
-    of the maximum there, so the choice does not depend on (B, R).  A scale
-    left as ``None`` counts as 1 and is not applied at all; scaling by 1 is
-    exact, so the bits are those of B = R = 1.  Without (B, R) the
+    The unit answer at x / R is the true maximum and the slope of the
+    scripted piece for iteration ``k`` when a script entry exists, or of the
+    highest-index active piece.  A piece is active when its value at x / R is
+    within ``ACTIVE_TOL * (1 + |max|)`` of the maximum there, so the choice
+    does not depend on (B, R).  Each field of a scaled answer is the unit
+    field times its scale: value by B * R, subgradient and norm by B.  A
+    scale left as ``None`` counts as 1 and is not applied; without (B, R) the
     subgradient is the chosen row of ``f.slopes`` itself, not a copy.
     ``x`` must be a float64 array; ``ProblemInstance.evaluate`` coerces it.
     """
@@ -163,11 +165,12 @@ def eval_plmax(
             )
     else:
         piece = (vals >= threshold).nonzero()[0][-1]
+    s = SubgradientSample.of(fmax, f.slopes[piece])
     if B is None and R is None:
-        return SubgradientSample.of(fmax, f.slopes[piece])
+        return s
     B = 1.0 if B is None else B
     R = 1.0 if R is None else R
-    return SubgradientSample.of(B * R * fmax, B * f.slopes[piece])
+    return SubgradientSample(B * R * s.value, B * s.subgradient, B * s.norm)
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,8 @@ def project_all(y: np.ndarray) -> np.ndarray:
 
     Returns its argument itself, not a copy; callers must not mutate the
     result.  ``solver.run`` passes an array it has just built and copies it
-    into the trace.
+    into the trace, also on scaled whole-space instances, which
+    ``scale_instance`` leaves with ``project_all`` itself.
     """
     return y
 
@@ -302,9 +306,10 @@ def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
     returns ``p`` itself.  The new objective is f'(x) = B * R * f(x / R)
     over the dilated feasible set R * X, which maps minimizers to R * x_star
     and keeps every rate in the package exact after multiplying by B * R.
-    The oracle stays ``eval_plmax`` on the same pieces, with (B, R) bound
-    next to them, so a scaled run answers through the same path as an
-    unscaled one.  Instances with any other oracle raise ``ValueError``.
+    The oracle stays ``eval_plmax`` on the same pieces with (B, R) bound.
+    Whole-space instances keep ``project_all``, since R * R^d = R^d; any
+    other projection P becomes ``R * P(y / R)``.  Other oracles raise
+    ``ValueError``.
     """
     if abs(p.B - 1.0) > 1e-12 or abs(p.R - 1.0) > 1e-12:
         raise ValueError("scale_instance expects a normalized instance with B = R = 1")
@@ -314,16 +319,12 @@ def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
     oracle = p.oracle
     if not (isinstance(oracle, partial) and oracle.func is eval_plmax):
         raise ValueError(f"scale_instance needs a piecewise-linear oracle, {p.name} has another")
-    inner_projection = p.projection
-
-    def projection(y: np.ndarray) -> np.ndarray:
-        return R * inner_projection(y / R)
-
+    inner = p.projection
     return ProblemInstance(
         oracle=partial(
             oracle, B=B * oracle.keywords.get("B", 1.0), R=R * oracle.keywords.get("R", 1.0)
         ),
-        projection=projection,
+        projection=inner if inner is project_all else lambda y: R * inner(y / R),
         f_star=B * R * p.f_star,
         B=B,
         R=R,

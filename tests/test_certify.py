@@ -177,6 +177,12 @@ def test_matching_alpha_rejects_long_steps():
     assert matching_alpha(3, knee) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_matching_alpha_stops_at_adjacent_floats():
+    # a tolerance below the float spacing near alpha ends at adjacent floats
+    alpha = matching_alpha(5, 0.05, tol=1e-17)
+    assert abs(s(alpha, 6) * math.sqrt(0.05) - 1.0) <= 1e-15
+
+
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
     n=st.integers(min_value=1, max_value=10),

@@ -211,6 +211,32 @@ def test_scale_near_one_is_used_as_given(capsys):
     assert row["R"] == "1.0"
 
 
+UNIT_RANDOM = ("run", "--instance", "random", "--N", "20", "--seed", "2")
+
+
+@pytest.mark.parametrize(
+    "method,scale",
+    [
+        (("--method", "constant", "--h", "0.1"), ("--B", "1e-200")),
+        (("--method", "constant", "--h", "0.1"), ("--B", "1e-160")),
+        (("--method", "optimal"), ("--B", "1e155", "--R", "1e-100")),
+        (("--method", "length", "--t", "0.1"), ("--B", "1e200", "--R", "1e-100")),
+    ],
+    ids=["B=1e-200", "B=1e-160", "optimal-B=1e155-R=1e-100", "length-B=1e200-R=1e-100"],
+)
+def test_extreme_scale_is_the_unit_run_times_BR(capsys, method, scale):
+    def passing_row(*argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        return dict(zip(header, rows[0]))
+
+    unit = passing_row(*UNIT_RANDOM, *method)
+    row = passing_row(*UNIT_RANDOM, *method, *scale)
+    BR = float(row["B"]) * float(row["R"])
+    assert float(row["last_gap"]) / BR == pytest.approx(float(unit["last_gap"]), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "argv,message,n_rows",
     [

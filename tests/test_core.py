@@ -25,6 +25,7 @@ from subgradlab.worstcase import (
     long_step_instance,
     random_instance,
     two_step_worst_long,
+    two_step_worst_small,
 )
 
 ABS_PIECES = PiecewiseLinearMax(
@@ -165,6 +166,11 @@ def test_pieces_validation():
             intercepts=np.zeros(2),
             scripted_choices={1: 5},
         )
+    with pytest.raises(ValueError, match="at most two axes"):
+        PiecewiseLinearMax(slopes=np.zeros((2, 2, 2)), intercepts=np.zeros(2))
+    # 0-D and 1-D slopes are one piece
+    assert PiecewiseLinearMax(slopes=2.0, intercepts=0.0).slopes.shape == (1, 1)
+    assert PiecewiseLinearMax(slopes=np.ones(3), intercepts=[0.0]).slopes.shape == (1, 3)
 
 
 def test_slope_norms_match_linalg_norm():
@@ -301,6 +307,38 @@ def test_scaled_oracle_is_exactly_the_dilated_unit_oracle(unit, steps):
         ref = unit.evaluate(y / R, k)
         assert scaled.value == B * R * ref.value
         assert np.array_equal(scaled.subgradient, B * ref.subgradient)
+        assert scaled.norm == B * ref.norm
+
+
+@pytest.mark.parametrize(
+    "unit",
+    [
+        abs_instance(),
+        long_step_instance(6, 0.4),
+        two_step_worst_small(0.05),
+        two_step_worst_long(0.3),
+        random_instance(4, 6, seed=2),
+    ],
+    ids=["abs", "longstep", "two-step-small", "two-step-long", "random"],
+)
+def test_scaled_whole_space_keeps_project_all(unit):
+    assert unit.projection is project_all
+    assert scale_instance(unit, 2.0, 3.0).projection is project_all
+
+
+def test_scaled_ball_projection_is_the_dilated_unit_projection():
+    ball = project_ball(np.zeros(3), 1.0)
+    unit = instance_from_pieces(
+        PiecewiseLinearMax(np.eye(3), np.zeros(3)),
+        f_star=-1.0 / np.sqrt(3.0),
+        x_star=-np.ones(3) / np.sqrt(3.0),
+        x_start=np.zeros(3),
+        projection=ball,
+    )
+    q = scale_instance(unit, 2.0, 3.0)
+    assert q.projection is not ball
+    for y in np.random.default_rng(6).standard_normal((50, 3)) * 5.0:
+        assert np.array_equal(q.projection(y), 3.0 * ball(y / 3.0))
 
 
 def test_check_instance_passes_on_generators():

@@ -162,6 +162,9 @@ def _abs_avg_gap(weights):
     [
         lambda: alpha_family_bound(3, math.nan, 1.0),
         lambda: matching_alpha(3, 0.0),
+        lambda: matching_alpha(5, 0.05, tol=0.0),
+        lambda: matching_alpha(5, 0.05, tol=-1.0),
+        lambda: matching_alpha(5, 0.05, tol=math.nan),
         lambda: _abs_avg_gap([0.1, 0.1, math.nan]),
         lambda: _abs_avg_gap([0.1, math.inf, 0.1]),
         lambda: optimal_step_weights(3, B=-1.0),
@@ -192,7 +195,8 @@ def _abs_avg_gap(weights):
         lambda: s_identity_check(1.0, 0),
     ],
     ids=[
-        "alpha_family_bound-nan-h", "matching_alpha-zero-h", "avg_gap-nan-weight",
+        "alpha_family_bound-nan-h", "matching_alpha-zero-h", "matching_alpha-zero-tol",
+        "matching_alpha-negative-tol", "matching_alpha-nan-tol", "avg_gap-nan-weight",
         "avg_gap-inf-weight", "optimal_step_weights-negative-B",
         "optimal_step_weights-zero-B", "scale_instance-nan-B", "abs_instance-inf-R",
         "best_iterate_bound-nan-B", "best_iterate_bound-inf-step",
