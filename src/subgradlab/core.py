@@ -58,14 +58,13 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 class SubgradientSample(NamedTuple):
     """One oracle answer: the function value, a single subgradient and its
-    Euclidean ``norm``, computed once by :meth:`of` and read by both the B
-    check in ``ProblemInstance.evaluate`` and the step rule in ``solver.run``.
-
-    :meth:`of` takes the norm as ``math.sqrt(g.dot(g))``, the correctly
-    rounded square root of the same dot product ``np.linalg.norm`` takes for
-    a 1-D float64 vector, so the two agree bit for bit.  The record is an
-    immutable tuple, but ``subgradient`` may be a view of the oracle's own
-    data (a row of the pieces' slopes); callers must not write to it."""
+    Euclidean ``norm``, taken once per piece per run by :func:`plmax_query`
+    (by :meth:`of` for any other oracle) as ``math.sqrt(g.dot(g))``, the
+    correctly rounded square root of the same dot product ``np.linalg.norm``
+    takes for a 1-D float64 vector, so the two agree bit for bit.  The record
+    is an immutable tuple, but ``subgradient`` may be the oracle's own data
+    (a row of the pieces' slopes, or its scaled copy); callers must not
+    write to it."""
 
     value: float
     subgradient: np.ndarray
@@ -132,45 +131,58 @@ class PiecewiseLinearMax:
         return float(self.slope_norms.max())
 
 
-def eval_plmax(
-    f: PiecewiseLinearMax,
-    x: np.ndarray,
-    k: int | None = None,
-    *,
-    B: float | None = None,
-    R: float | None = None,
-) -> SubgradientSample:
-    """Evaluate B * R * f(x / R), the piecewise-linear max dilated by (B, R).
+def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None = None):
+    """The oracle of B * R * f(x / R), the piecewise-linear max dilated by
+    (B, R), as a function ``(x, k=None) -> (value, g, norm)``.
 
     The unit answer at x / R is the true maximum and the slope of the
     scripted piece for iteration ``k`` when a script entry exists, or of the
     highest-index active piece.  A piece is active when its value at x / R is
     within ``ACTIVE_TOL * (1 + |max|)`` of the maximum there, so the choice
     does not depend on (B, R).  Each field of a scaled answer is the unit
-    field times its scale: value by B * R, subgradient and norm by B.  A
-    scale left as ``None`` counts as 1 and is not applied; without (B, R) the
-    subgradient is the chosen row of ``f.slopes`` itself, not a copy.
-    ``x`` must be a float64 array; ``ProblemInstance.evaluate`` coerces it.
+    field times its scale: value by B * R, subgradient and norm by B; a
+    scale left as ``None`` counts as 1, and without B the subgradient is the
+    chosen row of ``f.slopes`` itself.  The pieces, script and scales are
+    bound once, and each piece's (g, norm) is kept in a memo local to the
+    returned function: callers must not write to g.  ``x`` must be a float64
+    array.
     """
-    vals = f.slopes.dot(x if R is None else x / R)  # the gemv of `@`, without the ufunc
-    vals += f.intercepts
-    fmax = float(np.maximum.reduce(vals))
-    threshold = fmax - ACTIVE_TOL * (1.0 + abs(fmax))
-    if f.scripted_choices is not None and k is not None and k in f.scripted_choices:
-        piece = f.scripted_choices[k]
-        if vals[piece] < threshold:
-            raise ScriptedPieceInactive(
-                f"iteration {k} is scripted to piece {piece}, but that piece is "
-                f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
-            )
-    else:
-        piece = (vals >= threshold).nonzero()[0][-1]
-    s = SubgradientSample.of(fmax, f.slopes[piece])
-    if B is None and R is None:
-        return s
-    B = 1.0 if B is None else B
-    R = 1.0 if R is None else R
-    return SubgradientSample(B * R * s.value, B * s.subgradient, B * s.norm)
+    dot, intercepts, slopes = f.slopes.dot, f.intercepts, f.slopes
+    script = f.scripted_choices or {}
+    BR = (1.0 if B is None else B) * (1.0 if R is None else R)
+    memo = [None] * len(intercepts)
+
+    def query(x, k=None):
+        vals = dot(x if R is None else x / R)  # the gemv of `@`, without the ufunc
+        vals += intercepts
+        fmax = float(np.maximum.reduce(vals))
+        threshold = fmax - ACTIVE_TOL * (1.0 + abs(fmax))
+        if k in script:
+            piece = script[k]
+            if vals[piece] < threshold:
+                raise ScriptedPieceInactive(
+                    f"iteration {k} is scripted to piece {piece}, but that piece is "
+                    f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
+                )
+        else:
+            piece = (vals >= threshold).nonzero()[0][-1]
+        answer = memo[piece]
+        if answer is None:
+            row = slopes[piece]
+            norm = math.sqrt(row.dot(row))
+            answer = memo[piece] = (row, norm) if B is None else (B * row, B * norm)
+        g, norm = answer
+        return BR * fmax, g, norm
+
+    return query
+
+
+def eval_plmax(
+    f: PiecewiseLinearMax, x: np.ndarray, k: int | None = None, *, B=None, R=None
+) -> SubgradientSample:
+    """A record of one query of ``plmax_query(f, B, R)``: the answer of
+    B * R * f(x / R) at ``x`` for iteration ``k``."""
+    return SubgradientSample(*plmax_query(f, B, R)(x, k))
 
 
 @dataclass(frozen=True)
@@ -206,7 +218,8 @@ class ProblemInstance:
     def is_feasible(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=np.float64)
         d = self.projection(x) - x
-        return math.sqrt(d.dot(d)) <= FEASIBLE_TOL * max(1.0, math.sqrt(x.dot(x)))
+        # hypot, not the root of a dot: x.dot(x) overflows at |x| = 1e160
+        return math.hypot(*d.tolist()) <= FEASIBLE_TOL * max(1.0, math.hypot(*x.tolist()))
 
 
 def instance_from_pieces(

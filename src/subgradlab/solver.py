@@ -13,11 +13,14 @@ reads ``f_star`` or ``x_star``; gaps are measured afterwards by the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import core
 from .core import ZERO_TOL, ProblemInstance, as_point
 from .errors import IncompatibleLength, InfeasibleReference, ScheduleExhausted
 from .rates import _validate_horizon, _validate_scale, _validate_step, _validate_steps
@@ -135,6 +138,8 @@ def run(
     the current point is replicated through x^{N+1}, the remaining step
     slots are padded with nominal positive values, and the trace is flagged
     ``terminated_early``; the final query at index N+1 is still made.
+    There is one loop, with its query chosen once: ``core.plmax_query`` for
+    an oracle ``partial(eval_plmax, f, B=.., R=..)``, else the oracle itself.
     """
     if N is None:
         if schedule.N is None:
@@ -150,17 +155,24 @@ def run(
     if not p.is_feasible(x):
         raise InfeasibleReference("initial point is not in the feasible set")
 
+    query = oracle = p.oracle
+    if isinstance(oracle, partial) and oracle.func is core.eval_plmax:
+        query = core.plmax_query(*oracle.args, **oracle.keywords)
+    project, rule, by_length = p.projection, schedule.rule, schedule.by_length
+    B, R = p.B, p.R
+    max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
+
     values = np.empty(N + 1)
     steps = np.empty(N)
     points = np.empty((N + 1, p.dimension))
     subgradients = np.empty((N + 1, p.dimension))
     points[0] = x
     terminated_early = False
-    evaluate, project, step_size = p.evaluate, p.projection, schedule.step_size
-    zero_norm = ZERO_TOL * p.B
 
     for k in range(1, N + 1):
-        value, g, norm = evaluate(x, k)
+        value, g, norm = query(x, k)
+        if norm > max_norm:
+            raise ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
         values[k - 1] = value
         subgradients[k - 1] = g
         if norm <= zero_norm:
@@ -171,14 +183,18 @@ def run(
             points[k:] = x
             subgradients[k - 1 :] = g
             break
-        h_k = step_size(k, p, norm)
+        h_k = rule(k, B, R)
+        if by_length:
+            h_k /= norm
         steps[k - 1] = h_k
         x = project(x - h_k * g)
         points[k] = x
 
-    last = p.evaluate(x, N + 1)
-    values[N] = last.value
-    subgradients[N] = last.subgradient
+    value, g, norm = query(x, N + 1)
+    if norm > max_norm:
+        raise ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
+    values[N] = value
+    subgradients[N] = g
 
     return RunTrace(
         values=values,
@@ -236,9 +252,14 @@ def best_iterate_bound(h: Sequence[float], B: float, R: float) -> float:
     sequence, so callers are free to extend a realized schedule by any
     positive h_{N+1}.  B h_k is squared before summing, never h_k alone:
     h_k is about R / B, so B h_k stays near R while h_k^2 under- or
-    overflows when B and R are far apart (B = 1e100, R = 1e-100).
+    overflows when B and R are far apart (B = 1e100, R = 1e-100).  R and
+    B h_k are scaled by 2^-e, e the exponent of R, and the result by 2^2e, so
+    R^2 cannot under- or overflow (R = 1e-300, 1e160); a power of two scales
+    exactly, so ordinary scales keep every bit.
     """
     h = _validate_steps(h)
     B, R = _validate_scale(B, R)
-    Bh = B * h
-    return float((R * R + np.sum(Bh * Bh)) / (2.0 * np.sum(h)))
+    e = math.frexp(R)[1]
+    r = math.ldexp(R, -e)
+    Bh = np.ldexp(B * h, -e)
+    return math.ldexp(float((r * r + np.sum(Bh * Bh)) / (2.0 * np.sum(h))), 2 * e)

@@ -221,8 +221,12 @@ UNIT_RANDOM = ("run", "--instance", "random", "--N", "20", "--seed", "2")
         (("--method", "constant", "--h", "0.1"), ("--B", "1e-160")),
         (("--method", "optimal"), ("--B", "1e155", "--R", "1e-100")),
         (("--method", "length", "--t", "0.1"), ("--B", "1e200", "--R", "1e-100")),
+        # R^2 under- and overflows: bound_best read 0.0 and inf
+        (("--method", "optimal"), ("--B", "1e-5", "--R", "1e-300")),
+        (("--method", "optimal"), ("--B", "1e100", "--R", "1e160")),
     ],
-    ids=["B=1e-200", "B=1e-160", "optimal-B=1e155-R=1e-100", "length-B=1e200-R=1e-100"],
+    ids=["B=1e-200", "B=1e-160", "optimal-B=1e155-R=1e-100", "length-B=1e200-R=1e-100",
+         "optimal-B=1e-5-R=1e-300", "optimal-B=1e100-R=1e160"],
 )
 def test_extreme_scale_is_the_unit_run_times_BR(capsys, method, scale):
     def passing_row(*argv):
@@ -235,6 +239,7 @@ def test_extreme_scale_is_the_unit_run_times_BR(capsys, method, scale):
     row = passing_row(*UNIT_RANDOM, *method, *scale)
     BR = float(row["B"]) * float(row["R"])
     assert float(row["last_gap"]) / BR == pytest.approx(float(unit["last_gap"]), rel=1e-12)
+    assert float(row["bound_best"]) / BR == pytest.approx(float(unit["bound_best"]), rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from subgradlab import core
 from subgradlab import (
     PiecewiseLinearMax,
     ProblemInstance,
@@ -251,19 +252,26 @@ def test_scale_instance_maps_geometry():
     assert sample.subgradient[0] == pytest.approx(2.0)
 
 
-def test_scaled_run_builds_one_sample_per_oracle_call(monkeypatch):
+def test_scaled_run_builds_one_query_per_run(monkeypatch):
     q = scale_instance(random_instance(4, 6, seed=2), B=2.0, R=3.0)
-    made = []
-    of = SubgradientSample.of
+    built, answers = [], []
+    plmax_query = core.plmax_query
 
-    def counting(cls, value, subgradient):
-        made.append(value)
-        return of(value, subgradient)
+    def counting(*args, **kwargs):
+        query = plmax_query(*args, **kwargs)
+        built.append(query)
 
-    monkeypatch.setattr(SubgradientSample, "of", classmethod(counting))
+        def answer(x, k=None):
+            answers.append(k)
+            return query(x, k)
+
+        return answer
+
+    monkeypatch.setattr(core, "plmax_query", counting)
     trace = run(q, StepSchedule.constant_length(0.05), N=20)
     assert not trace.terminated_early
-    assert len(made) == trace.horizon + 1
+    assert len(built) == 1
+    assert answers == list(range(1, trace.horizon + 2))
     assert q.oracle.func is eval_plmax
 
 

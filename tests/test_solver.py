@@ -8,20 +8,31 @@ from subgradlab import (
     IncompatibleLength,
     InfeasibleReference,
     PiecewiseLinearMax,
+    ProblemInstance,
     ScheduleExhausted,
     ScriptedPieceInactive,
     StepOutOfRange,
     StepSchedule,
+    SubgradientSample,
     avg_gap,
     best_gap,
     best_iterate_bound,
     instance_from_pieces,
     last_gap,
+    project_all,
     project_ball,
     run,
     scale_instance,
 )
-from subgradlab.worstcase import abs_instance, long_step_instance, random_instance
+from subgradlab.core import ACTIVE_TOL, ZERO_TOL, as_point
+from subgradlab.rates import TWO_STEP_FIRST
+from subgradlab.worstcase import (
+    abs_instance,
+    long_step_instance,
+    random_instance,
+    two_step_worst_long,
+    two_step_worst_small,
+)
 
 
 def test_constant_schedule_on_abs():
@@ -329,3 +340,147 @@ def test_check_supports_error_types():
     for free in (StepSchedule.constant_normalized(0.1), StepSchedule.constant_length(0.1)):
         free.check_supports(1)
         free.check_supports(10_000)
+
+
+# --- the run loop against one evaluate call per answer ------------------------------
+
+
+def _reference_run(p, schedule, N):
+    """The reference run loop: one ``p.evaluate`` per answer and one
+    ``schedule.step_size`` per step.  Returns (values, steps, points,
+    subgradients, terminated_early)."""
+    x = as_point(p.x_start, p.dimension)
+    values, steps, points, subgradients = [], [], [x], []
+    terminated_early = False
+    for k in range(1, N + 1):
+        value, g, norm = p.evaluate(x, k)
+        if norm <= ZERO_TOL * p.B:
+            terminated_early = True
+            values += [value] * (N + 1 - k)
+            subgradients += [g] * (N + 1 - k)
+            steps += [schedule.nominal_step(j, p) for j in range(k, N + 1)]
+            points += [x] * (N + 1 - k)
+            break
+        values.append(value)
+        subgradients.append(g)
+        h_k = schedule.step_size(k, p, norm)
+        steps.append(h_k)
+        x = p.projection(x - h_k * g)
+        points.append(x)
+    last = p.evaluate(x, N + 1)
+    values.append(last.value)
+    subgradients.append(last.subgradient)
+    return values, steps, points, subgradients, terminated_early
+
+
+def _bits(trace):
+    """A trace or a reference tuple as bytes, for comparing bit for bit."""
+    if isinstance(trace, tuple):
+        *arrays, early = trace
+    else:
+        arrays = [trace.values, trace.steps, trace.points, trace.subgradients]
+        early = trace.terminated_early
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays], early
+
+
+def _all_schedules(N):
+    return [
+        StepSchedule.custom([0.05 * (1 + (7 * k) % 11) for k in range(N)]),
+        StepSchedule.constant_normalized(0.3),
+        StepSchedule.constant_length(0.2),
+        StepSchedule.optimal_last_iterate(N),
+        StepSchedule.optimal_length(N),
+    ]
+
+
+def _hinge():
+    # test_early_stop_replicates_tail's hinge: max(0, x - 1) from x = 0.5
+    pieces = PiecewiseLinearMax(slopes=np.array([[0.0], [1.0]]), intercepts=np.array([0.0, -1.0]))
+    return instance_from_pieces(
+        pieces, f_star=0.0, x_star=np.array([0.5]), x_start=np.array([0.5]), B=1.0, R=1.0
+    )
+
+
+def _ball_scaled():
+    unit = instance_from_pieces(
+        PiecewiseLinearMax(np.eye(3), np.zeros(3)),
+        f_star=-1.0 / np.sqrt(3.0),
+        x_star=-np.ones(3) / np.sqrt(3.0),
+        x_start=np.zeros(3),
+        projection=project_ball(np.zeros(3), 1.0),
+    )
+    return scale_instance(unit, 2.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "p,N,own,early",
+    [
+        (random_instance(5, 9, seed=3), 300, None, False),
+        (scale_instance(random_instance(5, 9, seed=3), 2.0, 3.0), 300, None, False),
+        (long_step_instance(50, 0.3), 50, None, False),
+        (two_step_worst_small(0.05), 2, StepSchedule.custom([TWO_STEP_FIRST, 0.05]), False),
+        (two_step_worst_long(0.3), 2, StepSchedule.custom([TWO_STEP_FIRST, 0.3]), False),
+        (_ball_scaled(), 40, None, False),
+        (_hinge(), 4, None, True),
+    ],
+    ids=["random", "random-B2-R3", "longstep", "two-step-small", "two-step-long",
+         "ball-B2-R3", "hinge"],
+)
+def test_run_is_the_evaluate_loop_bit_for_bit(p, N, own, early):
+    for schedule in _all_schedules(N) + ([own] if own else []):
+        expected = _bits(_reference_run(p, schedule, N))
+        assert _bits(run(p, schedule, N=N)) == expected
+        assert expected[1] is early
+
+
+def _abs_oracle(x, k=None):
+    # |x| with abs_instance's tie-break: -1 whenever -x is within the
+    # ACTIVE_TOL band of the maximum
+    value = abs(float(x[0]))
+    slope = -1.0 if -x[0] >= value - ACTIVE_TOL * (1.0 + value) else 1.0
+    return SubgradientSample.of(value, np.array([slope]))
+
+
+@pytest.mark.parametrize(
+    "schedule", _all_schedules(25),
+    ids=["custom", "constant", "length", "optimal", "optimal-length"],
+)
+def test_a_custom_oracle_runs_bit_equal_to_its_piecewise_instance(schedule):
+    pieces = abs_instance()
+    custom = ProblemInstance(
+        oracle=_abs_oracle, projection=project_all, f_star=0.0, B=1.0, R=1.0,
+        dimension=1, x_start=np.array([1.0]),
+    )
+    assert _bits(run(custom, schedule, N=25)) == _bits(run(pieces, schedule, N=25))
+
+
+def test_a_custom_oracle_above_B_raises_from_run():
+    def oracle(x, k=None):
+        return SubgradientSample.of(abs(float(x[0])), np.array([10.0 if k == 3 else 1.0]))
+
+    p = ProblemInstance(
+        oracle=oracle, projection=project_all, f_star=0.0, B=1.0, R=1.0,
+        dimension=1, x_start=np.array([1.0]),
+    )
+    run(p, StepSchedule.constant_normalized(0.1), N=1)
+    with pytest.raises(ValueError, match="exceeding B"):
+        run(p, StepSchedule.constant_normalized(0.1), N=5)
+    # the final answer, at N + 1 = 3, meets the same check
+    with pytest.raises(ValueError, match="exceeding B"):
+        run(p, StepSchedule.constant_normalized(0.1), N=2)
+
+
+@pytest.mark.parametrize("B,R", [(1.0, 1.0), (2.0, 3.0)])
+def test_a_scripted_piece_inactive_mid_run_raises_from_run(B, R):
+    # |x| from x = 1 with steps of 0.1: iteration 3 is at 0.8, where the
+    # scripted piece -x is 1.6 below the maximum.
+    pieces = PiecewiseLinearMax(
+        slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2), scripted_choices={3: 1}
+    )
+    p = scale_instance(
+        instance_from_pieces(pieces, f_star=0.0, x_star=[0.0], x_start=[1.0], B=1.0, R=1.0),
+        B, R,
+    )
+    run(p, StepSchedule.constant_normalized(0.1), N=1)
+    with pytest.raises(ScriptedPieceInactive, match="iteration 3 is scripted to piece 1"):
+        run(p, StepSchedule.constant_normalized(0.1), N=5)
