@@ -74,6 +74,7 @@ from .solver import (
     best_iterate_bound,
     last_gap,
     run,
+    run_lockstep,
 )
 from .worstcase import (
     abs_instance,
@@ -136,6 +137,7 @@ __all__ = [
     "random_instance",
     "recursive_weights",
     "run",
+    "run_lockstep",
     "s",
     "s_bounds",
     "s_identity_check",

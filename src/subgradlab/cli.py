@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -93,6 +94,10 @@ _METHODS = {
 }
 
 
+# certify's trials cycle through the methods in this order
+_CERTIFY_METHODS = tuple(_METHODS.values())
+
+
 class CliError(Exception):
     """Invalid flag combination or parameter value (exit status 2)."""
 
@@ -120,6 +125,13 @@ def _write_rows(rows: list[dict], columns: list[str], fmt: str, out) -> None:
         writer.writerows(rows)
     else:
         out.write(json.dumps(rows, indent=2) + "\n")
+
+
+def _check_seed(seed: int) -> int:
+    """A ``--seed`` that numpy can seed a generator from."""
+    if seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
+    return seed
 
 
 def _custom_steps(args) -> list[float]:
@@ -162,7 +174,7 @@ def _instance(args, N: int, h: float | None) -> ProblemInstance:
         scripted = args.method == "custom" and N == 2 and args.steps_file is None
         p = make(args.h2, scripted=scripted)
     else:
-        p = worstcase.random_instance(args.dim, args.directions, seed=args.seed)
+        p = worstcase.random_instance(args.dim, args.directions, seed=_check_seed(args.seed))
     return scale_instance(p, args.B, args.R)
 
 
@@ -283,35 +295,70 @@ def _cmd_sweep(args) -> int:
     return _report(args, cells, SWEEP_COLUMNS)
 
 
+# Bytes of lock-step state a certify chunk may hold.
+CERTIFY_CHUNK_BYTES = 1 << 20
+
+# The largest dimension a certify trial draws; it draws up to 2 * dim
+# directions, which random_instance doubles into pieces.
+CERTIFY_MAX_DIM = 8
+
+
+def _chunk_trials(N: int) -> int:
+    """Certify trials per lock-step chunk at horizon N: as many as fit
+    ``CERTIFY_CHUNK_BYTES`` at the largest shapes certify draws (dimension
+    ``CERTIFY_MAX_DIM``, four times as many pieces), so memory does not grow
+    with ``--trials``.  A trial holds its instance twice (its own arrays and
+    their padded rows in the batch) and its trace three times (the batch
+    buffers, its own copy and the weights and temporaries of the same
+    length), plus about 2 KB of Python objects; tracemalloc at N = 5..100
+    stays within this count."""
+    d, m = CERTIFY_MAX_DIM, 4 * CERTIFY_MAX_DIM
+    trace = (N + 1) * (2 * d + 1) + N
+    instance = 2 * m * (d + 3) + 3 * d
+    return max(1, CERTIFY_CHUNK_BYTES // (8 * (3 * trace + instance) + 2048))
+
+
+def _draw_trial(seed: int, trial: int, N: int, reverse: bool) -> tuple:
+    """Trial ``trial``'s instance, schedule, weights v, h_last and x_hat,
+    drawn from its own ``default_rng([seed, trial])`` in a fixed order."""
+    rng = np.random.default_rng([seed, trial])
+    dim = int(rng.integers(2, CERTIFY_MAX_DIM + 1))
+    directions = int(rng.integers(1, 2 * dim + 1))
+    p = worstcase.random_instance(dim, directions, seed=rng)
+    method = _CERTIFY_METHODS[trial % len(_CERTIFY_METHODS)]
+    schedule = method.schedule(N, method.draw(rng, N))
+    v = np.sort(rng.uniform(0.05, 2.0, N + 2))
+    if reverse:
+        v = v[::-1]
+    h_last = float(rng.uniform(0.05, 1.0))
+    x_hat = p.x_star if trial % 2 == 0 else rng.standard_normal(dim)
+    return p, schedule, v, h_last, x_hat
+
+
 def _cmd_certify(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     N = rates._validate_horizon(args.N)
+    seed = _check_seed(args.seed)
 
-    methods = list(_METHODS.values())  # trials cycle through them in order
     min_slack = math.inf
     min_trial = -1
     violations: list[tuple[int, float]] = []
-    for trial in range(args.trials):
-        rng = np.random.default_rng([args.seed, trial])
-        dim = int(rng.integers(2, 9))
-        directions = int(rng.integers(1, 2 * dim + 1))
-        p = worstcase.random_instance(dim, directions, seed=rng)
-        method = methods[trial % len(methods)]
-        schedule = method.schedule(N, method.draw(rng, N))
-        trace = solver.run(p, schedule, N=N)
-
-        v = np.sort(rng.uniform(0.05, 2.0, N + 2))
-        if args.force_nonmonotone:
-            v = v[::-1]
-        weights = certify_mod.WeightSequence(v, h_last=float(rng.uniform(0.05, 1.0)))
-        x_hat = p.x_star if trial % 2 == 0 else rng.standard_normal(dim)
-        check = certify_mod.verify_lemma(trace, p, weights, x_hat)
-        if check.slack < min_slack:
-            min_slack = check.slack
-            min_trial = trial
-        if check.slack < SLACK_FLOOR:
-            violations.append((trial, check.slack))
+    chunk = _chunk_trials(N)
+    # Each chunk runs in three phases: draw and build every trial, run them
+    # all in lock-step, then check the inequality trial by trial.
+    for first in range(0, args.trials, chunk):
+        trials = range(first, min(first + chunk, args.trials))
+        drawn = [_draw_trial(seed, trial, N, args.force_nonmonotone) for trial in trials]
+        traces = solver.run_lockstep([d[0] for d in drawn], [d[1] for d in drawn], N)
+        for trial, (p, _, v, h_last, x_hat), trace in zip(trials, drawn, traces):
+            weights = certify_mod.WeightSequence(v, h_last=h_last)
+            check = certify_mod.verify_lemma(trace, p, weights, x_hat)
+            if check.slack < min_slack:
+                min_slack = check.slack
+                min_trial = trial
+            if check.slack < SLACK_FLOOR:
+                violations.append((trial, check.slack))
 
     print(f"certify trials={args.trials} N={N} seed={args.seed}")
     print(f"min slack = {min_slack!r} (trial {min_trial})")
@@ -323,6 +370,7 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subgradlab",

@@ -131,6 +131,29 @@ class PiecewiseLinearMax:
         return float(self.slope_norms.max())
 
 
+def active_threshold(fmax):
+    """The least value of a piece active where the maximum is ``fmax`` (a
+    float or an array of them): ``fmax - ACTIVE_TOL * (1 + |fmax|)``."""
+    return fmax - ACTIVE_TOL * (1.0 + abs(fmax))
+
+
+def scripted_piece_inactive(k, piece, gap) -> ScriptedPieceInactive:
+    """The error of a query at iteration k scripted to a piece ``gap`` below
+    the maximum."""
+    return ScriptedPieceInactive(
+        f"iteration {k} is scripted to piece {piece}, but that piece is "
+        f"{gap:.3e} below the maximum at the queried point"
+    )
+
+
+def no_active_piece(k, fmax) -> ValueError:
+    """The error of a query at iteration k whose maximum ``fmax`` (NaN or
+    +inf) leaves no piece in the active band."""
+    return ValueError(
+        f"iteration {k}: no piece is active at the queried point, where the maximum is {fmax}"
+    )
+
+
 def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None = None):
     """The oracle of B * R * f(x / R), the piecewise-linear max dilated by
     (B, R), as a function ``(x, k=None) -> (value, g, norm)``.
@@ -156,16 +179,16 @@ def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None =
         vals = dot(x if R is None else x / R)  # the gemv of `@`, without the ufunc
         vals += intercepts
         fmax = float(np.maximum.reduce(vals))
-        threshold = fmax - ACTIVE_TOL * (1.0 + abs(fmax))
+        threshold = active_threshold(fmax)
         if k in script:
             piece = script[k]
             if vals[piece] < threshold:
-                raise ScriptedPieceInactive(
-                    f"iteration {k} is scripted to piece {piece}, but that piece is "
-                    f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
-                )
+                raise scripted_piece_inactive(k, piece, fmax - vals[piece])
         else:
-            piece = (vals >= threshold).nonzero()[0][-1]
+            try:
+                piece = (vals >= threshold).nonzero()[0][-1]
+            except IndexError:  # a NaN or +inf maximum leaves no piece in the band
+                raise no_active_piece(k, fmax) from None
         answer = memo[piece]
         if answer is None:
             row = slopes[piece]

@@ -124,6 +124,11 @@ class RunTrace:
         return len(self.steps)
 
 
+def _norm_above_B(norm, B) -> ValueError:
+    """The error of an oracle answer whose norm exceeds the instance's B."""
+    return ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
+
+
 def run(
     p: ProblemInstance,
     schedule: StepSchedule,
@@ -172,7 +177,7 @@ def run(
     for k in range(1, N + 1):
         value, g, norm = query(x, k)
         if norm > max_norm:
-            raise ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
+            raise _norm_above_B(norm, B)
         values[k - 1] = value
         subgradients[k - 1] = g
         if norm <= zero_norm:
@@ -192,7 +197,7 @@ def run(
 
     value, g, norm = query(x, N + 1)
     if norm > max_norm:
-        raise ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
+        raise _norm_above_B(norm, B)
     values[N] = value
     subgradients[N] = g
 
@@ -203,6 +208,183 @@ def run(
         subgradients=subgradients,
         terminated_early=terminated_early,
     )
+
+
+def run_lockstep(
+    instances: Sequence[ProblemInstance], schedules: Sequence[StepSchedule], N: int
+) -> list[RunTrace]:
+    """``[run(p, s, N=N) for p, s in zip(instances, schedules)]``, bit for
+    bit, with every trajectory stepped together.
+
+    Each instance must have an oracle ``partial(eval_plmax, f, B=.., R=..)``
+    (either scale may be absent) and the projection ``project_all``; any
+    other instance raises ``ValueError``.  Shapes, scales, scripts and
+    schedules may differ between trajectories.  A step makes one gemv per
+    trajectory, ``f.slopes.dot(x / R, out=row)`` into its row of a buffer
+    padded with pieces of intercept -inf, which are never active; every
+    other operation of ``plmax_query`` and of ``run``'s loop is one numpy
+    call over the batch, in the same order, so each trajectory keeps its
+    bits.  Row norms are the query's ``sqrt(row.dot(row))``, taken once per
+    piece by a stacked ``matmul`` of the rows with themselves, which makes
+    the same dot.  A trajectory that stops early is frozen where ``run``
+    replicates its last answer and point.  Arguments are checked trajectory
+    by trajectory before any step.  When an oracle answer fails (an inactive
+    scripted piece, a norm above B, no active piece) the failing trajectory is
+    frozen, the others run on, and the error raised is the one ``run`` raises
+    for the first failing trajectory.
+    """
+    N = _validate_horizon(N)
+    if len(instances) != len(schedules):
+        raise IncompatibleLength(f"{len(instances)} instances vs {len(schedules)} schedules")
+    T = len(instances)
+    pieces, starts = [], []
+    for p, schedule in zip(instances, schedules):
+        oracle = p.oracle
+        if not (
+            isinstance(oracle, partial)
+            and oracle.func is core.eval_plmax
+            and len(oracle.args) == 1
+            and oracle.keywords.keys() <= {"B", "R"}
+            and p.projection is core.project_all
+        ):
+            raise ValueError(
+                "run_lockstep needs a partial(eval_plmax, f, B=.., R=..) oracle and "
+                f"project_all; {p.name} has another"
+            )
+        schedule.check_supports(N)
+        if p.x_start is None:
+            raise ValueError("instance has no canonical start")
+        pieces.append(oracle.args[0])
+        starts.append(as_point(p.x_start, p.dimension))  # feasible under project_all
+    if T == 0:
+        return []
+
+    M = max(f.slopes.shape[0] for f in pieces)
+    D = max(f.slopes.shape[1] for f in pieces)
+    slopes = np.zeros((T, M, D))
+    norms = np.zeros((T, M))
+    intercepts = np.full((T, M), -np.inf)
+    script = np.full((N + 2, T), -1, dtype=np.intp)  # -1: the highest active piece
+    steps = np.empty((N, T))  # rule(k, B, R); a by-length step is divided when taken
+    X = np.zeros((T, D))
+    V = np.zeros((T, M))  # padding: 0, then -inf once the intercepts are added
+    XR = np.empty_like(X) if any("R" in p.oracle.keywords for p in instances) else X
+    gemvs = []
+    for t, (p, schedule, f, x) in enumerate(zip(instances, schedules, pieces, starts)):
+        m, d = f.slopes.shape
+        slopes[t, :m, :d] = f.slopes
+        norms[t, :m] = np.sqrt(np.matmul(f.slopes[:, None, :], f.slopes[:, :, None]))[:, 0, 0]
+        intercepts[t, :m] = f.intercepts
+        if f.scripted_choices:
+            choices = f.scripted_choices
+            script[:, t] = [choices[k] if k in choices else -1 for k in range(N + 2)]
+        steps[:, t] = [schedule.rule(k, p.B, p.R) for k in range(1, N + 1)]
+        X[t, :d] = x
+        gemvs.append((f.slopes.dot, XR[t, :d], V[t, :m]))
+    real = intercepts > -np.inf
+    # the query's scales, a missing one counting as 1, and run's bounds on the norm
+    scales = [p.oracle.keywords for p in instances]
+    Bq = np.array([1.0 if kw.get("B") is None else kw["B"] for kw in scales])
+    Rq = np.array([1.0 if kw.get("R") is None else kw["R"] for kw in scales])
+    BR = Bq * Rq
+    B = np.array([p.B for p in instances])
+    max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
+    by_length = np.array([schedule.by_length for schedule in schedules])
+    any_by_length = bool(by_length.any())
+    scripted_at = script >= 0
+    if not scripted_at.any():
+        scripted_at = None
+
+    ar = np.arange(T)
+    fmax, val, norm = np.empty(T), np.empty(T), np.empty(T)
+    active = np.zeros((T, M), dtype=bool)
+    active_reversed = active[:, ::-1]
+    G, HG = np.zeros((T, D)), np.empty((T, D))
+    live, mask = np.ones(T, dtype=bool), np.empty(T, dtype=bool)
+    stopped, failed = np.zeros(T, dtype=bool), np.zeros(T, dtype=bool)
+    live_col, B_col, R_col = live[:, None], Bq[:, None], Rq[:, None]
+    errors: dict[int, Exception] = {}
+
+    values = np.empty((N + 1, T))
+    points = np.empty((N + 1, T, D))
+    subgradients = np.empty((N + 1, T, D))
+    points[0] = X
+
+    def fail(bad, error) -> None:
+        """Freeze the live trajectories in ``bad``, keeping each one's first error."""
+        bad &= live
+        for t in bad.nonzero()[0].tolist():
+            errors.setdefault(t, error(t))
+        failed[bad] = True
+        live[bad] = False
+
+    def query(k: int) -> None:
+        """``plmax_query``'s answer at iteration k for every trajectory, into
+        ``val`` and ``norm``, and into ``G`` where live: a frozen trajectory's
+        point, hence its value, does not change, but its script may."""
+        if XR is not X:
+            np.divide(X, R_col, out=XR)
+        for dot, x, out in gemvs:
+            dot(x, out=out)  # the gemv of `@`, without the ufunc
+        np.add(V, intercepts, out=V)
+        np.maximum.reduce(V, axis=1, out=fmax)
+        thr = core.active_threshold(fmax)
+        np.greater_equal(V, thr[:, None], out=active, where=real)
+        piece = (M - 1) - active_reversed.argmax(axis=1)  # the highest active piece
+        unscripted = True
+        if scripted_at is not None:
+            scripted = scripted_at[k]
+            piece = np.where(scripted, script[k], piece)
+            below = V[ar, piece] < thr
+            if below.any():
+                fail(below & scripted, lambda t: core.scripted_piece_inactive(
+                    k, piece[t], float(fmax[t]) - V[t, piece[t]]
+                ))
+            unscripted = ~scripted
+        none_active = np.isnan(thr)  # a NaN or +inf maximum
+        if none_active.any():
+            fail(none_active & unscripted, lambda t: core.no_active_piece(k, float(fmax[t])))
+        np.multiply(slopes[ar, piece], B_col, out=G, where=live_col)
+        np.multiply(Bq, norms[ar, piece], out=norm)
+        np.multiply(BR, fmax, out=val)
+        if (norm > max_norm).any():
+            fail(norm > max_norm, lambda t: _norm_above_B(float(norm[t]), instances[t].B))
+
+    for k in range(1, N + 1):
+        query(k)
+        values[k - 1] = val
+        subgradients[k - 1] = G
+        np.less_equal(norm, zero_norm, out=mask)
+        if mask.any():
+            mask &= live
+            stopped |= mask
+            live &= ~mask
+        h = steps[k - 1]
+        if any_by_length:
+            np.logical_and(by_length, live, out=mask)
+            np.divide(h, norm, out=h, where=mask)
+        np.multiply(h[:, None], G, out=HG)
+        np.subtract(X, HG, out=X, where=live_col)
+        points[k] = X
+
+    np.logical_not(failed, out=live)
+    query(N + 1)
+    values[N] = val
+    subgradients[N] = G
+    if errors:
+        raise errors[min(errors)]
+    # copies of each trajectory's rows; a batch of one keeps the buffers themselves
+    own = np.ascontiguousarray
+    return [
+        RunTrace(
+            values=own(values[:, t]),
+            steps=own(steps[:, t]),
+            points=own(points[:, t, : f.dimension]),
+            subgradients=own(subgradients[:, t, : f.dimension]),
+            terminated_early=bool(stopped[t]),
+        )
+        for t, f in enumerate(pieces)
+    ]
 
 
 def _settle_gap(raw: float, p: ProblemInstance) -> float:

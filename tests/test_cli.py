@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from subgradlab import cli
+from subgradlab import WeightSequence, cli, random_instance, run, verify_lemma
 from subgradlab.certify import LemmaCheck
 from subgradlab.cli import COLUMNS, SWEEP_COLUMNS, main
 
@@ -410,3 +413,138 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# --- certify in lock-step chunks against the trial-by-trial loop ---------------------
+
+
+def _certify_trial_by_trial(trials, N, seed):
+    """The certify loop with one ``run`` and one ``verify_lemma`` per trial,
+    printing what ``certify`` prints."""
+    methods = list(cli._METHODS.values())
+    min_slack, min_trial, violations = math.inf, -1, []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        dim = int(rng.integers(2, 9))
+        directions = int(rng.integers(1, 2 * dim + 1))
+        p = random_instance(dim, directions, seed=rng)
+        method = methods[trial % len(methods)]
+        trace = run(p, method.schedule(N, method.draw(rng, N)), N=N)
+        v = np.sort(rng.uniform(0.05, 2.0, N + 2))
+        weights = WeightSequence(v, h_last=float(rng.uniform(0.05, 1.0)))
+        x_hat = p.x_star if trial % 2 == 0 else rng.standard_normal(dim)
+        check = verify_lemma(trace, p, weights, x_hat)
+        if check.slack < min_slack:
+            min_slack, min_trial = check.slack, trial
+        if check.slack < cli.SLACK_FLOOR:
+            violations.append((trial, check.slack))
+    lines = [f"certify trials={trials} N={N} seed={seed}",
+             f"min slack = {min_slack!r} (trial {min_trial})"]
+    lines += [f"VIOLATION: trial {t} (seed [{seed}, {t}]) slack = {s!r}" for t, s in violations]
+    if not violations:
+        lines.append(f"OK: all slacks >= {cli.SLACK_FLOOR}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("N", [1, 5, 20])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_certify_lockstep_replays_the_trial_by_trial_loop(capsys, N, seed):
+    code, out, err = invoke(capsys, "certify", "--trials", "40", "--N", str(N),
+                            "--seed", str(seed))
+    assert (code, err) == (0, "")
+    assert out == _certify_trial_by_trial(40, N, seed)
+
+
+@pytest.mark.parametrize("N", [1, 20])
+def test_certify_lockstep_replays_across_chunks(capsys, N):
+    trials = 2 * cli._chunk_trials(N) + 3
+    code, out, _ = invoke(capsys, "certify", "--trials", str(trials), "--N", str(N),
+                          "--seed", "7")
+    assert code == 0
+    assert out == _certify_trial_by_trial(trials, N, 7)
+
+
+def test_certify_lockstep_rejects_nonmonotone_weights_before_printing(capsys):
+    code, out, err = invoke(capsys, "certify", "--trials", "300", "--N", "3",
+                            "--force-nonmonotone")
+    assert (code, out) == (2, "")
+    assert err == "error: weights must be positive and non-decreasing\n"
+
+
+def _certify_peak(trials):
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(["certify", "--trials", str(trials), "--N", "10"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_certify_memory_does_not_grow_with_trials():
+    _certify_peak(5)  # first-call set-up out of the way
+    # 5 and 20 chunks of 83 trials at N = 10
+    small, large = _certify_peak(400), _certify_peak(1600)
+    assert abs(large - small) <= 0.1 * small
+
+
+# --- one parser per process; --seed ----------------------------------------------
+
+
+def test_main_reuses_its_parser_and_prints_what_fresh_calls_print(capsys):
+    argvs = [
+        ["certify", "--trials", "20", "--N", "3", "--seed", "4"],
+        ["run", "--instance", "random", "--method", "optimal", "--N", "5", "--seed", "3",
+         "--dim", "3", "--B", "2"],
+        ["sweep", "--instance", "random", "--method", "optimal", "--N-list", "2,3"],
+        ["run", "--instance", "abs", "--method", "constant", "--N", "4", "--h", "0.1"],
+    ]
+
+    def outputs(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            got.append(invoke(capsys, *argv))
+        return got
+
+    reused = outputs(False)
+    assert cli._build_parser() is cli._build_parser()
+    assert reused == outputs(True)
+    assert all(code == 0 for code, _, _ in reused)
+    assert ",random,0," in reused[2][1]  # sweep's default seed, after run --seed 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--instance", "random", "--method", "optimal", "--N", "3", "--seed", "-1"],
+        ["sweep", "--instance", "random", "--method", "optimal", "--N-list", "2",
+         "--seed", "-5"],
+        ["certify", "--trials", "3", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_names_the_flag(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    seed = argv[argv.index("--seed") + 1]
+    assert (code, err) == (2, f"error: --seed must be >= 0, got {seed}\n")
+    assert "," not in out
+
+
+def test_negative_seed_is_echoed_where_no_seed_is_drawn(capsys):
+    code, out, _ = invoke(capsys, "run", "--instance", "abs", "--method", "optimal",
+                          "--N", "3", "--seed", "-1")
+    header, rows = parse_csv(out)
+    assert code == 0 and dict(zip(header, rows[0]))["seed"] == "-1"
+
+
+def test_an_overflowing_run_exits_two_with_a_message(tmp_path, capsys):
+    # steps of 1.7e308 on 2|x| overflow x to -inf, where the maximum is +inf
+    steps = tmp_path / "steps.txt"
+    steps.write_text("1.7e308 1.7e308 1.7e308\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = invoke(capsys, "run", "--instance", "abs", "--method", "custom",
+                                "--N", "3", "--steps-file", str(steps), "--B", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: iteration 2: no piece is active at the queried point, "
+                   "where the maximum is inf\n")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,13 @@ from subgradlab import (
     avg_gap,
     best_gap,
     best_iterate_bound,
+    eval_plmax,
     instance_from_pieces,
     last_gap,
     project_all,
     project_ball,
     run,
+    run_lockstep,
     scale_instance,
 )
 from subgradlab.core import ACTIVE_TOL, ZERO_TOL, as_point
@@ -484,3 +488,142 @@ def test_a_scripted_piece_inactive_mid_run_raises_from_run(B, R):
     run(p, StepSchedule.constant_normalized(0.1), N=1)
     with pytest.raises(ScriptedPieceInactive, match="iteration 3 is scripted to piece 1"):
         run(p, StepSchedule.constant_normalized(0.1), N=5)
+
+
+# --- lock-step batches against one run per trajectory -------------------------------
+
+
+def _lockstep_batch(N):
+    """A mixed batch: random instances at three (B, R), scripted and
+    unscripted long-step instances, both two-step instances, and hinges that
+    stop at once, one of them on a slope of norm 1e-15, which a move would
+    not leave in place, and scripted at the iterations it never queries."""
+    batch = []
+    for seed, (B, R) in enumerate([(1.0, 1.0), (2.0, 3.0), (1e-200, 1.0)]):
+        p = scale_instance(random_instance(2 + 3 * seed, 4 + seed, seed=seed), B, R)
+        batch += [(p, s) for s in _all_schedules(N)]
+    batch += [(long_step_instance(50, 0.3), StepSchedule.constant_normalized(0.3))]
+    batch += [(long_step_instance(50, 0.3, scripted=False), s) for s in _all_schedules(N)]
+    for make, h2 in ((two_step_worst_small, 0.05), (two_step_worst_long, 0.3)):
+        own = StepSchedule.custom([TWO_STEP_FIRST] + [h2] * (N - 1))
+        batch += [(make(h2), own), (make(h2, scripted=False), _all_schedules(N)[0])]
+    hinge = _hinge()
+    batch += [(hinge, s) for s in _all_schedules(N)]
+    pieces = PiecewiseLinearMax(
+        slopes=np.array([[1e-15], [1.0]]), intercepts=np.array([0.0, -1.0]),
+        scripted_choices={k: 1 for k in range(2, N + 1)},
+    )
+    quiet = instance_from_pieces(pieces, f_star=0.0, x_star=[0.5], x_start=[0.5], B=1.0, R=1.0)
+    return batch + [(quiet, StepSchedule.constant_length(0.2))]
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 50])
+def test_lockstep_is_run_bit_for_bit_on_a_mixed_batch(N):
+    instances, schedules = zip(*_lockstep_batch(N))
+    traces = run_lockstep(instances, schedules, N)
+    assert len(traces) == len(instances)
+    for p, schedule, trace in zip(instances, schedules, traces):
+        assert _bits(trace) == _bits(run(p, schedule, N=N))
+        assert trace.points.flags.c_contiguous and trace.subgradients.flags.c_contiguous
+    assert [_bits(t) for t in run_lockstep(instances[:1], schedules[:1], N)] == [
+        _bits(traces[0])
+    ]
+    early = [trace.terminated_early for trace in traces]
+    assert early[-6:] == [True] * 6 and not all(early)
+
+
+def _scripted_abs(k):
+    # |x| from x = 1 with steps of 0.1, scripted at iteration k to the piece
+    # -x, which is then 2 - 0.2 (k - 1) below the maximum
+    pieces = PiecewiseLinearMax(
+        slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2), scripted_choices={k: 1}
+    )
+    return instance_from_pieces(pieces, f_star=0.0, x_star=[0.0], x_start=[1.0], B=1.0, R=1.0)
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as exc:
+        fn()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("B,R", [(1.0, 1.0), (2.0, 3.0)])
+def test_lockstep_raises_what_run_raises_for_the_first_failing_trajectory(B, R):
+    schedule = StepSchedule.constant_normalized(0.1)
+    good = scale_instance(random_instance(4, 6, seed=1), B, R)
+    late, early = (scale_instance(_scripted_abs(k), B, R) for k in (5, 3))
+    # `late` fails at iteration 5, after `early` has failed at iteration 3
+    batch = [good, late, early]
+    expected = _raised(lambda: [run(p, schedule, N=6) for p in batch])
+    assert expected[0] is ScriptedPieceInactive and "iteration 5" in expected[1]
+    assert _raised(lambda: run_lockstep(batch, [schedule] * len(batch), 6)) == expected
+    # a stopped trajectory's script is checked again at N + 1
+    pieces = PiecewiseLinearMax(
+        slopes=np.array([[0.0], [1.0]]), intercepts=np.array([0.0, -1.0]),
+        scripted_choices={5: 1},
+    )
+    stop = instance_from_pieces(pieces, f_star=0.0, x_star=[0.5], x_start=[0.5], B=1.0, R=1.0)
+    expected = _raised(lambda: run(stop, schedule, N=4))
+    batch = [good, stop]
+    assert _raised(lambda: run_lockstep(batch, [schedule] * len(batch), 4)) == expected
+
+
+def test_lockstep_raises_the_norm_check_of_run():
+    pieces = PiecewiseLinearMax(slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2))
+    low_B = ProblemInstance(
+        oracle=partial(eval_plmax, pieces), projection=project_all, f_star=0.0, B=0.5,
+        R=1.0, dimension=1, x_start=np.array([1.0]),
+    )
+    schedule = StepSchedule.constant_normalized(0.1)
+    expected = _raised(lambda: run(low_B, schedule, N=3))
+    assert expected[0] is ValueError and "exceeding B=0.5" in expected[1]
+    batch = [random_instance(3, 2, seed=0), low_B]
+    assert _raised(lambda: run_lockstep(batch, [schedule] * len(batch), 3)) == expected
+
+
+def _overflowing():
+    """Instances whose custom steps of 1.7e308 overflow the iterates: on the
+    axis pieces max(x1, x2) from (1, 0) the values hold 0 * -inf = NaN at
+    iteration 4; on max(x, 2x) from 1 every value is -inf from iteration 2."""
+    axes = instance_from_pieces(
+        PiecewiseLinearMax(np.eye(2), np.zeros(2)), f_star=0.0, x_star=[0.0, 0.0],
+        x_start=[1.0, 0.0],
+    )
+    ray = instance_from_pieces(
+        PiecewiseLinearMax(np.array([[1.0], [2.0]]), np.zeros(2)), f_star=0.0,
+        x_star=[0.0], x_start=[1.0],
+    )
+    return axes, ray
+
+
+def test_lockstep_never_picks_a_padded_piece():
+    axes, ray = _overflowing()
+    huge = StepSchedule.custom([1.7e308] * 6)
+    wide = random_instance(6, 9, seed=2)  # 18 pieces: the others are padded
+    with np.errstate(over="ignore", invalid="ignore"):
+        # NaN values leave no active piece: run and the batch raise the same error
+        expected = _raised(lambda: run(axes, huge, N=6))
+        batch = [wide, axes]
+        assert _raised(lambda: run_lockstep(batch, [huge] * len(batch), 6)) == expected
+        # all values -inf: every piece is in the band, and the last real one is chosen
+        batch = [wide, ray]
+        traces = run_lockstep(batch, [huge] * len(batch), 6)
+        assert _bits(traces[1]) == _bits(run(ray, huge, N=6))
+    assert expected == (ValueError, "iteration 4: no piece is active at the queried "
+                        "point, where the maximum is nan")
+    assert traces[1].values[-1] == -np.inf and not traces[1].terminated_early
+
+
+def test_lockstep_rejects_other_projections_and_oracles():
+    schedule = StepSchedule.constant_normalized(0.1)
+    custom = ProblemInstance(
+        oracle=_abs_oracle, projection=project_all, f_star=0.0, B=1.0, R=1.0,
+        dimension=1, x_start=np.array([1.0]),
+    )
+    for p in (_ball_scaled(), custom):
+        run(p, schedule, N=3)
+        with pytest.raises(ValueError, match="run_lockstep needs"):
+            run_lockstep([abs_instance(), p], [schedule] * 2, 3)
+    assert run_lockstep([], [], 3) == []
+    with pytest.raises(IncompatibleLength):
+        run_lockstep([abs_instance()], [], 3)
