@@ -8,8 +8,8 @@ Three subcommands:
 
 Rows are CSV by default (JSON with ``--format json``) and reproduce
 byte-for-byte for identical flags and seed.  Exit status: 0 when every
-reported slack is at or above -1e-9 * B * R, 1 when some bound is violated,
-2 for invalid flags or parameters.
+reported slack is at or above -1e-9 * B * R, 1 when some bound is violated
+(a NaN slack counts as one), 2 for invalid flags or parameters.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _cell_row(
         "avg_gap": avgg,
         "bound_last": bound_last,
         "bound_best": bound_best,
-        "slack": min(slacks),
+        "slack": math.nan if any(map(math.isnan, slacks)) else min(slacks),
     }
     if include_log_bound:
         if param is not None and N >= 2:  # the constant-parameter methods
@@ -226,12 +226,13 @@ def _cell_row(
 def _report(args, cells: Iterable[tuple], columns: list[str]) -> int:
     """Open ``--out``, write one row per (N, param, instance, schedule) cell
     and return the exit status: 1, naming the worst cell on stderr, when the
-    least slack is below ``SLACK_FLOOR * B * R``, else 0."""
+    least slack is below ``SLACK_FLOOR * B * R`` or NaN, else 0."""
     with _open_out(args.out) as out:
         rows = [_cell_row(args, *cell, "bound_log" in columns) for cell in cells]
         _write_rows(rows, columns, args.format, out)
-    worst = min(rows, key=lambda row: row["slack"])
-    if worst["slack"] < SLACK_FLOOR * args.B * args.R:
+    # a NaN slack shows no bound holds: it counts as the least, and fails
+    worst = min(rows, key=lambda row: -math.inf if math.isnan(row["slack"]) else row["slack"])
+    if not worst["slack"] >= SLACK_FLOOR * args.B * args.R:
         print(
             f"bound violated: N={worst['N']} h={worst['h']} slack={worst['slack']!r}",
             file=sys.stderr,

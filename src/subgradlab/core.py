@@ -137,21 +137,9 @@ def active_threshold(fmax):
     return fmax - ACTIVE_TOL * (1.0 + abs(fmax))
 
 
-def scripted_piece_inactive(k, piece, gap) -> ScriptedPieceInactive:
-    """The error of a query at iteration k scripted to a piece ``gap`` below
-    the maximum."""
-    return ScriptedPieceInactive(
-        f"iteration {k} is scripted to piece {piece}, but that piece is "
-        f"{gap:.3e} below the maximum at the queried point"
-    )
-
-
-def no_active_piece(k, fmax) -> ValueError:
-    """The error of a query at iteration k whose maximum ``fmax`` (NaN or
-    +inf) leaves no piece in the active band."""
-    return ValueError(
-        f"iteration {k}: no piece is active at the queried point, where the maximum is {fmax}"
-    )
+def norm_above_B(norm, B) -> ValueError:
+    """The error of an oracle answer whose norm exceeds the instance's B."""
+    return ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
 
 
 def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None = None):
@@ -183,12 +171,18 @@ def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None =
         if k in script:
             piece = script[k]
             if vals[piece] < threshold:
-                raise scripted_piece_inactive(k, piece, fmax - vals[piece])
+                raise ScriptedPieceInactive(
+                    f"iteration {k} is scripted to piece {piece}, but that piece is "
+                    f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
+                )
         else:
             try:
                 piece = (vals >= threshold).nonzero()[0][-1]
             except IndexError:  # a NaN or +inf maximum leaves no piece in the band
-                raise no_active_piece(k, fmax) from None
+                raise ValueError(
+                    f"iteration {k}: no piece is active at the queried point, "
+                    f"where the maximum is {fmax}"
+                ) from None
         answer = memo[piece]
         if answer is None:
             row = slopes[piece]
@@ -206,6 +200,20 @@ def eval_plmax(
     """A record of one query of ``plmax_query(f, B, R)``: the answer of
     B * R * f(x / R) at ``x`` for iteration ``k``."""
     return SubgradientSample(*plmax_query(f, B, R)(x, k))
+
+
+def plmax_parts(oracle) -> tuple[PiecewiseLinearMax, float | None, float | None] | None:
+    """The pieces f and scales (B, R) of an oracle ``partial(eval_plmax, f,
+    B=.., R=..)``, a scale left out as ``None``, or ``None`` for any other
+    oracle.  This is the one reader of that encoding."""
+    if not (
+        isinstance(oracle, partial)
+        and oracle.func is eval_plmax
+        and len(oracle.args) == 1
+        and oracle.keywords.keys() <= {"B", "R"}
+    ):
+        return None
+    return oracle.args[0], oracle.keywords.get("B"), oracle.keywords.get("R")
 
 
 @dataclass(frozen=True)
@@ -233,9 +241,7 @@ class ProblemInstance:
         """Query the oracle, enforcing the subgradient norm bound."""
         sample = self.oracle(np.asarray(x, dtype=np.float64), k)
         if sample.norm > self.B * (1.0 + 1e-12):
-            raise ValueError(
-                f"oracle returned a subgradient of norm {sample.norm}, exceeding B={self.B}"
-            )
+            raise norm_above_B(sample.norm, self.B)
         return sample
 
     def is_feasible(self, x: np.ndarray) -> bool:
@@ -352,13 +358,14 @@ def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
     B, R = _validate_scale(B, R)
     if B == R == 1.0:
         return p
-    oracle = p.oracle
-    if not (isinstance(oracle, partial) and oracle.func is eval_plmax):
+    parts = plmax_parts(p.oracle)
+    if parts is None:
         raise ValueError(f"scale_instance needs a piecewise-linear oracle, {p.name} has another")
+    f, fB, fR = parts
     inner = p.projection
     return ProblemInstance(
         oracle=partial(
-            oracle, B=B * oracle.keywords.get("B", 1.0), R=R * oracle.keywords.get("R", 1.0)
+            eval_plmax, f, B=B * (1.0 if fB is None else fB), R=R * (1.0 if fR is None else fR)
         ),
         projection=inner if inner is project_all else lambda y: R * inner(y / R),
         f_star=B * R * p.f_star,

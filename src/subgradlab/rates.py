@@ -9,6 +9,7 @@ the seed-1 step-size sequence from :mod:`subgradlab.sequences`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -44,6 +45,11 @@ def _validate_scale(B: float, R: float) -> tuple[float, float]:
     B, R = float(B), float(R)
     if not (0 < B < math.inf and 0 < R < math.inf):
         raise ValueError(f"B and R must be finite and positive, got B={B}, R={R}")
+    lo, hi = sys.float_info.min, sys.float_info.max
+    if not (lo <= B * R <= hi and lo <= R / B <= hi):
+        raise ValueError(
+            f"B*R and R/B must be normal floats, between {lo} and {hi}; got B={B}, R={R}"
+        )
     return B, R
 
 

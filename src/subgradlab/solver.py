@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,11 +123,6 @@ class RunTrace:
         return len(self.steps)
 
 
-def _norm_above_B(norm, B) -> ValueError:
-    """The error of an oracle answer whose norm exceeds the instance's B."""
-    return ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
-
-
 def run(
     p: ProblemInstance,
     schedule: StepSchedule,
@@ -160,9 +154,8 @@ def run(
     if not p.is_feasible(x):
         raise InfeasibleReference("initial point is not in the feasible set")
 
-    query = oracle = p.oracle
-    if isinstance(oracle, partial) and oracle.func is core.eval_plmax:
-        query = core.plmax_query(*oracle.args, **oracle.keywords)
+    parts = core.plmax_parts(p.oracle)
+    query = p.oracle if parts is None else core.plmax_query(*parts)
     project, rule, by_length = p.projection, schedule.rule, schedule.by_length
     B, R = p.B, p.R
     max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
@@ -177,7 +170,7 @@ def run(
     for k in range(1, N + 1):
         value, g, norm = query(x, k)
         if norm > max_norm:
-            raise _norm_above_B(norm, B)
+            raise core.norm_above_B(norm, B)
         values[k - 1] = value
         subgradients[k - 1] = g
         if norm <= zero_norm:
@@ -197,7 +190,7 @@ def run(
 
     value, g, norm = query(x, N + 1)
     if norm > max_norm:
-        raise _norm_above_B(norm, B)
+        raise core.norm_above_B(norm, B)
     values[N] = value
     subgradients[N] = g
 
@@ -226,27 +219,22 @@ def run_lockstep(
     call over the batch, in the same order, so each trajectory keeps its
     bits.  Row norms are the query's ``sqrt(row.dot(row))``, taken once per
     piece by a stacked ``matmul`` of the rows with themselves, which makes
-    the same dot.  A trajectory that stops early is frozen where ``run``
-    replicates its last answer and point.  Arguments are checked trajectory
-    by trajectory before any step.  When an oracle answer fails (an inactive
-    scripted piece, a norm above B, no active piece) the failing trajectory is
-    frozen, the others run on, and the error raised is the one ``run`` raises
-    for the first failing trajectory.
+    the same dot.  Arguments are checked trajectory by trajectory before any
+    step.  The batch covers only runs that neither stop nor fail: as soon as
+    some trajectory's answer would stop ``run`` early (a norm at or below
+    ``ZERO_TOL * B`` before the final query) or make it raise (an inactive
+    scripted piece, a norm above B, no active piece), the whole batch is
+    run again through ``run``, which pads the stopped traces and raises the
+    first failing trajectory's error.
     """
     N = _validate_horizon(N)
     if len(instances) != len(schedules):
         raise IncompatibleLength(f"{len(instances)} instances vs {len(schedules)} schedules")
     T = len(instances)
-    pieces, starts = [], []
+    pieces, scales, starts = [], [], []
     for p, schedule in zip(instances, schedules):
-        oracle = p.oracle
-        if not (
-            isinstance(oracle, partial)
-            and oracle.func is core.eval_plmax
-            and len(oracle.args) == 1
-            and oracle.keywords.keys() <= {"B", "R"}
-            and p.projection is core.project_all
-        ):
+        parts = core.plmax_parts(p.oracle)
+        if parts is None or p.projection is not core.project_all:
             raise ValueError(
                 "run_lockstep needs a partial(eval_plmax, f, B=.., R=..) oracle and "
                 f"project_all; {p.name} has another"
@@ -254,7 +242,8 @@ def run_lockstep(
         schedule.check_supports(N)
         if p.x_start is None:
             raise ValueError("instance has no canonical start")
-        pieces.append(oracle.args[0])
+        pieces.append(parts[0])
+        scales.append(parts[1:])
         starts.append(as_point(p.x_start, p.dimension))  # feasible under project_all
     if T == 0:
         return []
@@ -268,7 +257,7 @@ def run_lockstep(
     steps = np.empty((N, T))  # rule(k, B, R); a by-length step is divided when taken
     X = np.zeros((T, D))
     V = np.zeros((T, M))  # padding: 0, then -inf once the intercepts are added
-    XR = np.empty_like(X) if any("R" in p.oracle.keywords for p in instances) else X
+    XR = np.empty_like(X) if any(R is not None for _, R in scales) else X
     gemvs = []
     for t, (p, schedule, f, x) in enumerate(zip(instances, schedules, pieces, starts)):
         m, d = f.slopes.shape
@@ -283,9 +272,8 @@ def run_lockstep(
         gemvs.append((f.slopes.dot, XR[t, :d], V[t, :m]))
     real = intercepts > -np.inf
     # the query's scales, a missing one counting as 1, and run's bounds on the norm
-    scales = [p.oracle.keywords for p in instances]
-    Bq = np.array([1.0 if kw.get("B") is None else kw["B"] for kw in scales])
-    Rq = np.array([1.0 if kw.get("R") is None else kw["R"] for kw in scales])
+    Bq = np.array([1.0 if B is None else B for B, _ in scales])
+    Rq = np.array([1.0 if R is None else R for _, R in scales])
     BR = Bq * Rq
     B = np.array([p.B for p in instances])
     max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
@@ -299,29 +287,18 @@ def run_lockstep(
     fmax, val, norm = np.empty(T), np.empty(T), np.empty(T)
     active = np.zeros((T, M), dtype=bool)
     active_reversed = active[:, ::-1]
-    G, HG = np.zeros((T, D)), np.empty((T, D))
-    live, mask = np.ones(T, dtype=bool), np.empty(T, dtype=bool)
-    stopped, failed = np.zeros(T, dtype=bool), np.zeros(T, dtype=bool)
-    live_col, B_col, R_col = live[:, None], Bq[:, None], Rq[:, None]
-    errors: dict[int, Exception] = {}
+    G, HG = np.empty((T, D)), np.empty((T, D))
+    B_col, R_col = Bq[:, None], Rq[:, None]
 
     values = np.empty((N + 1, T))
     points = np.empty((N + 1, T, D))
     subgradients = np.empty((N + 1, T, D))
     points[0] = X
 
-    def fail(bad, error) -> None:
-        """Freeze the live trajectories in ``bad``, keeping each one's first error."""
-        bad &= live
-        for t in bad.nonzero()[0].tolist():
-            errors.setdefault(t, error(t))
-        failed[bad] = True
-        live[bad] = False
-
-    def query(k: int) -> None:
+    def query(k: int) -> bool:
         """``plmax_query``'s answer at iteration k for every trajectory, into
-        ``val`` and ``norm``, and into ``G`` where live: a frozen trajectory's
-        point, hence its value, does not change, but its script may."""
+        ``val``, ``G`` and ``norm``; False when ``run`` would raise on some
+        answer, or, for k <= N, stop at it."""
         if XR is not X:
             np.divide(X, R_col, out=XR)
         for dot, x, out in gemvs:
@@ -329,50 +306,33 @@ def run_lockstep(
         np.add(V, intercepts, out=V)
         np.maximum.reduce(V, axis=1, out=fmax)
         thr = core.active_threshold(fmax)
+        if np.isnan(thr).any():  # a NaN or +inf maximum
+            return False
         np.greater_equal(V, thr[:, None], out=active, where=real)
         piece = (M - 1) - active_reversed.argmax(axis=1)  # the highest active piece
-        unscripted = True
         if scripted_at is not None:
-            scripted = scripted_at[k]
-            piece = np.where(scripted, script[k], piece)
-            below = V[ar, piece] < thr
-            if below.any():
-                fail(below & scripted, lambda t: core.scripted_piece_inactive(
-                    k, piece[t], float(fmax[t]) - V[t, piece[t]]
-                ))
-            unscripted = ~scripted
-        none_active = np.isnan(thr)  # a NaN or +inf maximum
-        if none_active.any():
-            fail(none_active & unscripted, lambda t: core.no_active_piece(k, float(fmax[t])))
-        np.multiply(slopes[ar, piece], B_col, out=G, where=live_col)
+            piece = np.where(scripted_at[k], script[k], piece)
+            if (V[ar, piece] < thr).any():  # only a scripted piece can be below
+                return False
+        np.multiply(slopes[ar, piece], B_col, out=G)
         np.multiply(Bq, norms[ar, piece], out=norm)
         np.multiply(BR, fmax, out=val)
-        if (norm > max_norm).any():
-            fail(norm > max_norm, lambda t: _norm_above_B(float(norm[t]), instances[t].B))
+        return not ((norm > max_norm).any() or k <= N and (norm <= zero_norm).any())
 
-    for k in range(1, N + 1):
-        query(k)
+    for k in range(1, N + 2):  # N steps, then the final query at N + 1
+        if not query(k):  # `run` pads the stopped traces and raises the first error
+            return [run(p, schedule, N=N) for p, schedule in zip(instances, schedules)]
         values[k - 1] = val
         subgradients[k - 1] = G
-        np.less_equal(norm, zero_norm, out=mask)
-        if mask.any():
-            mask &= live
-            stopped |= mask
-            live &= ~mask
+        if k > N:
+            break
         h = steps[k - 1]
         if any_by_length:
-            np.logical_and(by_length, live, out=mask)
-            np.divide(h, norm, out=h, where=mask)
+            np.divide(h, norm, out=h, where=by_length)
         np.multiply(h[:, None], G, out=HG)
-        np.subtract(X, HG, out=X, where=live_col)
+        np.subtract(X, HG, out=X)
         points[k] = X
 
-    np.logical_not(failed, out=live)
-    query(N + 1)
-    values[N] = val
-    subgradients[N] = G
-    if errors:
-        raise errors[min(errors)]
     # copies of each trajectory's rows; a batch of one keeps the buffers themselves
     own = np.ascontiguousarray
     return [
@@ -381,7 +341,7 @@ def run_lockstep(
             steps=own(steps[:, t]),
             points=own(points[:, t, : f.dimension]),
             subgradients=own(subgradients[:, t, : f.dimension]),
-            terminated_early=bool(stopped[t]),
+            terminated_early=False,
         )
         for t, f in enumerate(pieces)
     ]
@@ -420,6 +380,7 @@ def avg_gap(trace: RunTrace, p: ProblemInstance, h: Sequence[float]) -> float:
             f"need {trace.horizon + 1} step values (including h_(N+1)), got {h.shape}"
         )
     _validate_steps(h)
+    h = np.ldexp(h, -math.frexp(float(h.max()))[1])  # a power of two, so h.sum() is finite
     weights = h / h.sum()
     x_avg = weights @ trace.points
     return _settle_gap(float(p.evaluate(x_avg).value) - p.f_star, p)
@@ -434,14 +395,17 @@ def best_iterate_bound(h: Sequence[float], B: float, R: float) -> float:
     sequence, so callers are free to extend a realized schedule by any
     positive h_{N+1}.  B h_k is squared before summing, never h_k alone:
     h_k is about R / B, so B h_k stays near R while h_k^2 under- or
-    overflows when B and R are far apart (B = 1e100, R = 1e-100).  R and
-    B h_k are scaled by 2^-e, e the exponent of R, and the result by 2^2e, so
-    R^2 cannot under- or overflow (R = 1e-300, 1e160); a power of two scales
-    exactly, so ordinary scales keep every bit.
+    overflows when B and R are far apart (B = 1e100, R = 1e-100).  R, B h_k
+    and h_k are scaled by 2^-e, e the larger of the exponents of R and of
+    B max h_k (the exponents of B and max h_k added, so that product is
+    never formed), and the result by 2^e.  Then neither the squares nor the
+    sums overflow (h_k = 1e308), and R^2 does not underflow unless it is
+    negligible (R = 1e-300, 1e160); a power of two scales exactly, so
+    ordinary scales keep every bit.
     """
     h = _validate_steps(h)
     B, R = _validate_scale(B, R)
-    e = math.frexp(R)[1]
-    r = math.ldexp(R, -e)
-    Bh = np.ldexp(B * h, -e)
-    return math.ldexp(float((r * r + np.sum(Bh * Bh)) / (2.0 * np.sum(h))), 2 * e)
+    e = max(math.frexp(R)[1], math.frexp(B)[1] + math.frexp(float(h.max()))[1])
+    r, h = math.ldexp(R, -e), np.ldexp(h, -e)
+    Bh = B * h
+    return math.ldexp(float((r * r + np.sum(Bh * Bh)) / (2.0 * np.sum(h))), e)

@@ -246,6 +246,53 @@ def test_extreme_scale_is_the_unit_run_times_BR(capsys, method, scale):
 
 
 @pytest.mark.parametrize(
+    "scale",
+    [("--B", "1e155", "--R", "1e155"), ("--B", "1e-200", "--R", "1e-200"), ("--R", "1e-320"),
+     ("--B", "1e300", "--R", "1e-100")],
+    ids=["BR-overflows", "BR-underflows", "R-subnormal", "R/B-underflows"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_scale_outside_the_normal_floats_exits_two(capsys, command, scale):
+    argv = (
+        ("run", "--instance", "random", "--method", "optimal", "--N", "3", "--seed", "1")
+        if command == "run"
+        else ("sweep", "--instance", "abs", "--method", "optimal", "--N-list", "3")
+    )
+    code, out, err = invoke(capsys, *argv, *scale)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: B*R and R/B must be normal floats") and err.count("\n") == 1
+
+
+def test_huge_steps_give_a_finite_bound(capsys):
+    # with B h_k = 1e308, (B h_k)^2 and the sum of the steps overflow unless scaled
+    code, out, err = invoke(capsys, "run", "--instance", "abs", "--method", "constant",
+                            "--h", "1e308", "--N", "5")
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (code, err) == (0, "")
+    assert row["bound_best"] == "5e+307" and math.isfinite(float(row["slack"]))
+    assert float(row["avg_gap"]) == pytest.approx(1e308 / 6, rel=1e-12)
+    code, out, err = invoke(capsys, "sweep", "--instance", "abs", "--N-list", "5",
+                            "--h-grid", "1e307:1e307:1")
+    header, rows = parse_csv(out)
+    assert (code, err) == (0, "")
+    assert float(dict(zip(header, rows[0]))["bound_best"]) == pytest.approx(5e306, rel=1e-15)
+
+
+@pytest.mark.parametrize("bound", ["best", "last"])
+def test_a_nan_slack_exits_one(capsys, monkeypatch, bound):
+    if bound == "best":
+        monkeypatch.setattr(cli.solver, "best_iterate_bound", lambda *args: math.nan)
+    else:
+        broken = cli._METHODS["optimal"]._replace(rate=lambda N, h: math.nan)
+        monkeypatch.setitem(cli._METHODS, "optimal", broken)
+    code, out, err = invoke(capsys, "sweep", "--instance", "abs", "--method", "optimal",
+                            "--N-list", "2,3")
+    assert code == 1
+    assert err == "bound violated: N=2 h=None slack=nan\n"
+
+
+@pytest.mark.parametrize(
     "argv,message,n_rows",
     [
         (("run", "--method", "constant", "--N", "2", "--h", "0.1", "--instance", "abs"),

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,34 @@ def test_unit_scale_binds_nothing_into_the_oracle():
     p = random_instance(4, 6, seed=2)
     assert scale_instance(p, 1.0, 1.0).oracle.keywords == {}
     assert p.oracle.keywords == {}
+
+
+def test_plmax_parts_decodes_only_the_piecewise_oracle():
+    unit = random_instance(3, 4, seed=0)
+    f, B, R = core.plmax_parts(unit.oracle)
+    assert f is unit.oracle.args[0] and (B, R) == (None, None)
+    f2, B, R = core.plmax_parts(scale_instance(unit, 2.0, 3.0).oracle)
+    assert f2 is f and (B, R) == (2.0, 3.0)
+    for other in (
+        eval_plmax,
+        partial(eval_plmax, f, np.zeros(3)),
+        partial(eval_plmax, f, k=1),
+        lambda x, k=None: eval_plmax(f, x, k),
+    ):
+        assert core.plmax_parts(other) is None
+
+
+def test_evaluate_and_run_give_one_message_for_a_norm_above_B():
+    low_B = ProblemInstance(
+        oracle=partial(eval_plmax, ABS_PIECES), projection=project_all, f_star=0.0, B=0.5,
+        R=1.0, dimension=1, x_start=np.array([1.0]),
+    )
+    with pytest.raises(ValueError) as evaluated:
+        low_B.evaluate(np.array([1.0]), 1)
+    with pytest.raises(ValueError) as ran:
+        run(low_B, StepSchedule.constant_normalized(0.1), N=3)
+    message = "oracle returned a subgradient of norm 1.0, exceeding B=0.5"
+    assert str(evaluated.value) == str(ran.value) == message
 
 
 def test_project_all_returns_its_argument():

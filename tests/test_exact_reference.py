@@ -14,8 +14,9 @@ float result must sit within a stated relative error of it:
 * the last gap the two-step worst cases attain against
   ``two_step_worst_gap``: 16 units of 2^-52;
 * ``best_iterate_bound`` on realized steps: 16 (N + 1) units of 2^-52,
-  on the golden long-step sweep and at (B, R) as far apart as 1e100 and
-  1e-100, where squaring h_k alone under- or overflowed.
+  on the golden long-step sweep, at (B, R) as far apart as 1e100 and
+  1e-100, where squaring h_k alone under- or overflowed, and at steps of
+  1e308, where (B h_k)^2 and the sum of the steps overflowed.
 """
 
 import csv
@@ -192,3 +193,15 @@ def test_best_iterate_bound_at_extreme_scales(method, B, R):
     h = _extended_steps(p, schedule, N)
     err = rel_err(best_iterate_bound(h, B, R), exact_best_iterate_bound(h, B, R))
     assert err < 16 * (N + 1) * EPS, err
+
+
+@pytest.mark.parametrize(
+    "h, B, R",
+    [(1e308, 1.0, 1.0), (1e307, 1.0, 1.0), (1.5e308, 1.5, 1.0), (1e-300, 1.0, 1.0)],
+)
+def test_best_iterate_bound_at_extreme_steps(h, B, R):
+    """Six steps of h: at h = 1e308 the bound read NaN, at 1e307 inf; at
+    B = 1.5, h = 1.5e308 the product B h overflows, the bound does not."""
+    steps = [h] * 6
+    err = rel_err(best_iterate_bound(steps, B, R), exact_best_iterate_bound(steps, B, R))
+    assert err < 16 * 6 * EPS, err

@@ -28,6 +28,7 @@ from subgradlab import (
     run_lockstep,
     scale_instance,
 )
+from subgradlab import solver
 from subgradlab.core import ACTIVE_TOL, ZERO_TOL, as_point
 from subgradlab.rates import TWO_STEP_FIRST
 from subgradlab.worstcase import (
@@ -518,16 +519,31 @@ def _lockstep_batch(N):
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 50])
+def test_lockstep_steps_every_trajectory_that_run_does_not_stop(N, monkeypatch):
+    batch = [(p, s) for p, s in _lockstep_batch(N) if not run(p, s, N=N).terminated_early]
+    instances, schedules = zip(*batch)
+    expected = [_bits(run(p, schedule, N=N)) for p, schedule in batch]
+    assert len(batch) >= 21  # the last six stop at once, two-step instances at N >= 7
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the batch handed a trajectory to run")
+
+    monkeypatch.setattr(solver, "run", no_run)
+    traces = run_lockstep(instances, schedules, N)
+    assert [_bits(trace) for trace in traces] == expected
+    for trace in traces:
+        assert trace.points.flags.c_contiguous and trace.subgradients.flags.c_contiguous
+    assert [_bits(t) for t in run_lockstep(instances[:1], schedules[:1], N)] == expected[:1]
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 50])
 def test_lockstep_is_run_bit_for_bit_on_a_mixed_batch(N):
+    # the batch holds stoppers, so run makes every trace, padding included
     instances, schedules = zip(*_lockstep_batch(N))
     traces = run_lockstep(instances, schedules, N)
     assert len(traces) == len(instances)
     for p, schedule, trace in zip(instances, schedules, traces):
         assert _bits(trace) == _bits(run(p, schedule, N=N))
-        assert trace.points.flags.c_contiguous and trace.subgradients.flags.c_contiguous
-    assert [_bits(t) for t in run_lockstep(instances[:1], schedules[:1], N)] == [
-        _bits(traces[0])
-    ]
     early = [trace.terminated_early for trace in traces]
     assert early[-6:] == [True] * 6 and not all(early)
 
