@@ -37,7 +37,7 @@ from .errors import (
     MonotonicityViolation,
     StepOutOfRange,
 )
-from .rates import _validate_scale, _validate_step
+from .rates import _validate_horizon, _validate_scale, _validate_step
 from .sequences import iter_s, s
 from .solver import RunTrace
 
@@ -50,7 +50,9 @@ class WeightSequence:
     h_last: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64).reshape(-1)
+        v = np.asarray(self.v, dtype=np.float64)
+        if v.ndim != 1:
+            raise ValueError(f"weights must be a 1-D sequence, got shape {v.shape}")
         if len(v) < 2:
             raise IncompatibleLength("need at least v_0 and v_1")
         if not np.isfinite(v).all():
@@ -137,6 +139,7 @@ def constant_step_weights(N: int, alpha: float, h_last: float) -> WeightSequence
     c_1 .. c_N, leaving c_{N+1} = h_last: the inequality then bounds the
     final gap directly.
     """
+    N = _validate_horizon(N)
     values = list(islice(iter_s(alpha), N + 1))  # s_{alpha,1} .. s_{alpha,N+1}
     v = np.array([1.0 / value for value in reversed(values)] + [values[0]])
     return WeightSequence(v, h_last)
@@ -149,6 +152,7 @@ def optimal_step_weights(N: int, B: float = 1.0, R: float = 1.0) -> WeightSequen
     h_{N+1} = R / (B (N+1)^{3/2}).  On that schedule's realized steps they
     give c_k = 0 for k <= N and c_{N+1} = 1 exactly.
     """
+    N = _validate_horizon(N)
     B, R = _validate_scale(B, R)
     scale = (N + 1) ** 0.75 * math.sqrt(B / R)
     v = np.array([scale / (N + 1 - k) for k in range(N + 1)] + [0.0])
@@ -193,6 +197,7 @@ def alpha_family_bound(N: int, h: float, alpha: float) -> float:
     alpha = 1 the expression equals the long-step branch, and for small h
     the seed found by ``matching_alpha`` collapses the square entirely.
     """
+    N = _validate_horizon(N)
     h = _validate_step(h)
     z = s(alpha, N + 1) * math.sqrt(h)
     return 0.5 * (z - 1.0 / z) ** 2 + 1.0 - N * h
@@ -206,6 +211,7 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
     [1, max(1, 1/sqrt(h))] to absolute tolerance ``tol`` (finite and > 0),
     or until ``lo`` and ``hi`` are adjacent floats.
     """
+    N = _validate_horizon(N)
     target = 1.0 / math.sqrt(_validate_step(h))
     tol = _validate_step(tol, "tol")
     if s(1.0, N + 1) > target * (1.0 + 1e-15):

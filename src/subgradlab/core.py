@@ -120,8 +120,11 @@ class PiecewiseLinearMax:
         if self.scripted_choices is not None:
             m = slopes.shape[0]
             for it, piece in self.scripted_choices.items():
-                if not 0 <= piece < m:
-                    raise ValueError(f"scripted piece {piece} for iteration {it} out of range")
+                if not (isinstance(piece, (int, np.integer)) and 0 <= piece < m):
+                    raise ValueError(
+                        f"scripted piece {piece!r} for iteration {it} is not a piece index "
+                        f"below {m}"
+                    )
 
     @property
     def dimension(self) -> int:
@@ -311,8 +314,8 @@ def project_box(lo, hi) -> Projection:
     """Projection onto the box {x : lo <= x <= hi} (componentwise)."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo > hi):
-        raise ValueError("box is empty: lo > hi somewhere")
+    if not (lo <= hi).all():
+        raise ValueError("box is empty or has a NaN bound: lo <= hi fails somewhere")
 
     def proj(y: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(y, dtype=np.float64), lo, hi)
@@ -323,6 +326,8 @@ def project_box(lo, hi) -> Projection:
 def project_ball(center, radius: float) -> Projection:
     """Projection onto the Euclidean ball of given center and radius."""
     center = np.asarray(center, dtype=np.float64)
+    if not np.isfinite(center).all():
+        raise ValueError("ball center has non-finite entries")
     radius = float(radius)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")

@@ -34,6 +34,8 @@ def _validate_step(h: float, name: str = "h") -> float:
 
 def _validate_steps(h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 1:
+        raise ValueError(f"steps must be a 1-D sequence, got shape {h.shape}")
     if h.size == 0:
         raise EmptySchedule("need at least one step")
     if not (np.isfinite(h) & (h > 0)).all():

@@ -207,43 +207,38 @@ def run_lockstep(
     instances: Sequence[ProblemInstance], schedules: Sequence[StepSchedule], N: int
 ) -> list[RunTrace]:
     """``[run(p, s, N=N) for p, s in zip(instances, schedules)]``, bit for
-    bit, with every trajectory stepped together.
+    bit, with the trajectories stepped together when the batch takes them.
 
-    Each instance must have an oracle ``partial(eval_plmax, f, B=.., R=..)``
-    (either scale may be absent) and the projection ``project_all``; any
-    other instance raises ``ValueError``.  Shapes, scales, scripts and
-    schedules may differ between trajectories.  A step makes one gemv per
-    trajectory, ``f.slopes.dot(x / R, out=row)`` into its row of a buffer
-    padded with pieces of intercept -inf, which are never active; every
-    other operation of ``plmax_query`` and of ``run``'s loop is one numpy
-    call over the batch, in the same order, so each trajectory keeps its
-    bits.  Row norms are the query's ``sqrt(row.dot(row))``, taken once per
-    piece by a stacked ``matmul`` of the rows with themselves, which makes
-    the same dot.  Arguments are checked trajectory by trajectory before any
-    step.  The batch covers only runs that neither stop nor fail: as soon as
-    some trajectory's answer would stop ``run`` early (a norm at or below
-    ``ZERO_TOL * B`` before the final query) or make it raise (an inactive
-    scripted piece, a norm above B, no active piece), the whole batch is
-    run again through ``run``, which pads the stopped traces and raises the
-    first failing trajectory's error.
+    The batch takes unit, unscripted whole-space instances: an oracle
+    ``partial(eval_plmax, f)`` with no scale and no script, ``project_all``
+    and a canonical start; shapes and schedules may differ.  A step makes
+    one gemv per trajectory, ``f.slopes.dot(x, out=row)`` into its row of a
+    buffer padded with pieces of intercept -inf, which are never active;
+    every other operation of ``plmax_query`` and of ``run``'s loop is one
+    numpy call over the batch, in the same order, so each trajectory keeps
+    its bits.  Row norms are the query's ``sqrt(row.dot(row))``, taken once
+    per piece by a stacked ``matmul`` of the rows with themselves, which
+    makes the same dot.  Any other batch runs through ``run``: one holding
+    an instance the batch does not take, or one in which some answer would
+    stop ``run`` early (a norm at or below ``ZERO_TOL * B`` before the final
+    query) or make it raise (a norm above B, no active piece).
     """
     N = _validate_horizon(N)
     if len(instances) != len(schedules):
         raise IncompatibleLength(f"{len(instances)} instances vs {len(schedules)} schedules")
+
+    def one_by_one() -> list[RunTrace]:
+        return [run(p, schedule, N=N) for p, schedule in zip(instances, schedules)]
+
     T = len(instances)
-    pieces, scales, starts = [], [], []
+    pieces, starts = [], []
     for p, schedule in zip(instances, schedules):
-        parts = core.plmax_parts(p.oracle)
-        if parts is None or p.projection is not core.project_all:
-            raise ValueError(
-                "run_lockstep needs a partial(eval_plmax, f, B=.., R=..) oracle and "
-                f"project_all; {p.name} has another"
-            )
         schedule.check_supports(N)
-        if p.x_start is None:
-            raise ValueError("instance has no canonical start")
+        parts = core.plmax_parts(p.oracle)
+        unit = parts is not None and parts[1:] == (None, None) and not parts[0].scripted_choices
+        if not unit or p.projection is not core.project_all or p.x_start is None:
+            return one_by_one()
         pieces.append(parts[0])
-        scales.append(parts[1:])
         starts.append(as_point(p.x_start, p.dimension))  # feasible under project_all
     if T == 0:
         return []
@@ -253,77 +248,49 @@ def run_lockstep(
     slopes = np.zeros((T, M, D))
     norms = np.zeros((T, M))
     intercepts = np.full((T, M), -np.inf)
-    script = np.full((N + 2, T), -1, dtype=np.intp)  # -1: the highest active piece
     steps = np.empty((N, T))  # rule(k, B, R); a by-length step is divided when taken
     X = np.zeros((T, D))
     V = np.zeros((T, M))  # padding: 0, then -inf once the intercepts are added
-    XR = np.empty_like(X) if any(R is not None for _, R in scales) else X
     gemvs = []
     for t, (p, schedule, f, x) in enumerate(zip(instances, schedules, pieces, starts)):
         m, d = f.slopes.shape
         slopes[t, :m, :d] = f.slopes
         norms[t, :m] = np.sqrt(np.matmul(f.slopes[:, None, :], f.slopes[:, :, None]))[:, 0, 0]
         intercepts[t, :m] = f.intercepts
-        if f.scripted_choices:
-            choices = f.scripted_choices
-            script[:, t] = [choices[k] if k in choices else -1 for k in range(N + 2)]
         steps[:, t] = [schedule.rule(k, p.B, p.R) for k in range(1, N + 1)]
         X[t, :d] = x
-        gemvs.append((f.slopes.dot, XR[t, :d], V[t, :m]))
+        gemvs.append((f.slopes.dot, X[t, :d], V[t, :m]))
     real = intercepts > -np.inf
-    # the query's scales, a missing one counting as 1, and run's bounds on the norm
-    Bq = np.array([1.0 if B is None else B for B, _ in scales])
-    Rq = np.array([1.0 if R is None else R for _, R in scales])
-    BR = Bq * Rq
     B = np.array([p.B for p in instances])
     max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
     by_length = np.array([schedule.by_length for schedule in schedules])
     any_by_length = bool(by_length.any())
-    scripted_at = script >= 0
-    if not scripted_at.any():
-        scripted_at = None
 
     ar = np.arange(T)
-    fmax, val, norm = np.empty(T), np.empty(T), np.empty(T)
     active = np.zeros((T, M), dtype=bool)
     active_reversed = active[:, ::-1]
-    G, HG = np.empty((T, D)), np.empty((T, D))
-    B_col, R_col = Bq[:, None], Rq[:, None]
+    HG = np.empty((T, D))
 
     values = np.empty((N + 1, T))
     points = np.empty((N + 1, T, D))
     subgradients = np.empty((N + 1, T, D))
     points[0] = X
 
-    def query(k: int) -> bool:
-        """``plmax_query``'s answer at iteration k for every trajectory, into
-        ``val``, ``G`` and ``norm``; False when ``run`` would raise on some
-        answer, or, for k <= N, stop at it."""
-        if XR is not X:
-            np.divide(X, R_col, out=XR)
+    for k in range(1, N + 2):  # N steps, then the final query at N + 1
+        # plmax_query's answer at iteration k for every trajectory
         for dot, x, out in gemvs:
             dot(x, out=out)  # the gemv of `@`, without the ufunc
         np.add(V, intercepts, out=V)
-        np.maximum.reduce(V, axis=1, out=fmax)
+        fmax = np.maximum.reduce(V, axis=1, out=values[k - 1])
         thr = core.active_threshold(fmax)
-        if np.isnan(thr).any():  # a NaN or +inf maximum
-            return False
+        if np.isnan(thr).any():  # a NaN or +inf maximum: `run` raises
+            return one_by_one()
         np.greater_equal(V, thr[:, None], out=active, where=real)
         piece = (M - 1) - active_reversed.argmax(axis=1)  # the highest active piece
-        if scripted_at is not None:
-            piece = np.where(scripted_at[k], script[k], piece)
-            if (V[ar, piece] < thr).any():  # only a scripted piece can be below
-                return False
-        np.multiply(slopes[ar, piece], B_col, out=G)
-        np.multiply(Bq, norms[ar, piece], out=norm)
-        np.multiply(BR, fmax, out=val)
-        return not ((norm > max_norm).any() or k <= N and (norm <= zero_norm).any())
-
-    for k in range(1, N + 2):  # N steps, then the final query at N + 1
-        if not query(k):  # `run` pads the stopped traces and raises the first error
-            return [run(p, schedule, N=N) for p, schedule in zip(instances, schedules)]
-        values[k - 1] = val
-        subgradients[k - 1] = G
+        G = subgradients[k - 1] = slopes[ar, piece]
+        norm = norms[ar, piece]
+        if (norm > max_norm).any() or k <= N and (norm <= zero_norm).any():
+            return one_by_one()  # `run` pads the stopped traces and raises the first error
         if k > N:
             break
         h = steps[k - 1]

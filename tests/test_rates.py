@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from subgradlab import (
     avg_gap,
     best_iterate_bound,
     classical_lower_bound,
+    constant_step_weights,
     constant_length_rate,
     constant_step_rate,
     instance_from_pieces,
@@ -23,6 +25,7 @@ from subgradlab import (
     optimal_method_rate,
     optimal_step_weights,
     project_ball,
+    project_box,
     random_instance,
     recursive_weights,
     run,
@@ -193,6 +196,21 @@ def _abs_avg_gap(weights):
         lambda: random_instance(3, 0),
         lambda: s(1.0, 0),
         lambda: s_identity_check(1.0, 0),
+        lambda: optimal_step_weights(1.5),
+        lambda: optimal_step_weights(-3),
+        lambda: optimal_step_weights(0),
+        lambda: constant_step_weights(1.5, 1.0, 0.1),
+        lambda: constant_step_weights(0, 1.0, 0.1),
+        lambda: alpha_family_bound(0, 0.1, 1.0),
+        lambda: matching_alpha(0, 0.1),
+        lambda: StepSchedule.custom([[0.1, 0.2]]),
+        lambda: StepSchedule.custom(0.1),
+        lambda: WeightSequence(np.ones((2, 2)), h_last=0.1),
+        lambda: PiecewiseLinearMax(slopes=[[1.0], [-1.0]], intercepts=[0.0, 0.0],
+                                   scripted_choices={1: 1.0}),
+        lambda: project_box([math.nan], [1.0]),
+        lambda: project_box([2.0], [1.0]),
+        lambda: project_ball([math.nan], 1.0),
     ],
     ids=[
         "alpha_family_bound-nan-h", "matching_alpha-zero-h", "matching_alpha-zero-tol",
@@ -206,6 +224,11 @@ def _abs_avg_gap(weights):
         "instance_from_pieces-low-B", "instance_from_pieces-low-R",
         "random_instance-zero-dimension", "random_instance-zero-directions",
         "s-zero-index", "s_identity_check-zero-index",
+        "optimal_step_weights-fractional-N", "optimal_step_weights-negative-N",
+        "optimal_step_weights-zero-N", "constant_step_weights-fractional-N",
+        "constant_step_weights-zero-N", "alpha_family_bound-zero-N", "matching_alpha-zero-N",
+        "custom-2d-steps", "custom-0d-steps", "weights-2d", "pieces-float-scripted-piece",
+        "project_box-nan-bound", "project_box-empty", "project_ball-nan-center",
     ],
 )
 def test_non_finite_or_nonpositive_parameters_raise_value_errors(call):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -29,7 +30,7 @@ from subgradlab import (
     scale_instance,
 )
 from subgradlab import solver
-from subgradlab.core import ACTIVE_TOL, ZERO_TOL, as_point
+from subgradlab.core import ACTIVE_TOL, ZERO_TOL, as_point, plmax_parts
 from subgradlab.rates import TWO_STEP_FIRST
 from subgradlab.worstcase import (
     abs_instance,
@@ -518,12 +519,22 @@ def _lockstep_batch(N):
     return batch + [(quiet, StepSchedule.constant_length(0.2))]
 
 
+def _unit_unscripted(p):
+    f, B, R = plmax_parts(p.oracle)
+    return B is None and R is None and not f.scripted_choices
+
+
 @pytest.mark.parametrize("N", [1, 2, 7, 50])
 def test_lockstep_steps_every_trajectory_that_run_does_not_stop(N, monkeypatch):
-    batch = [(p, s) for p, s in _lockstep_batch(N) if not run(p, s, N=N).terminated_early]
+    batch = [
+        (p, s) for p, s in _lockstep_batch(N)
+        if _unit_unscripted(p) and not run(p, s, N=N).terminated_early
+    ]
     instances, schedules = zip(*batch)
     expected = [_bits(run(p, schedule, N=N)) for p, schedule in batch]
-    assert len(batch) >= 21  # the last six stop at once, two-step instances at N >= 7
+    # random and long-step instances of mixed shapes; the hinges stop at once,
+    # the two-step instances at N >= 7
+    assert len(batch) >= 10 and len({p.dimension for p in instances}) >= 2
 
     def no_run(*args, **kwargs):
         raise AssertionError("the batch handed a trajectory to run")
@@ -630,16 +641,46 @@ def test_lockstep_never_picks_a_padded_piece():
     assert traces[1].values[-1] == -np.inf and not traces[1].terminated_early
 
 
-def test_lockstep_rejects_other_projections_and_oracles():
+def test_lockstep_runs_every_other_instance_through_run(monkeypatch):
+    """A unit batch with one instance the batch does not take gives run's
+    traces bit for bit, or raises run's error, through one run per trajectory."""
     schedule = StepSchedule.constant_normalized(0.1)
     custom = ProblemInstance(
         oracle=_abs_oracle, projection=project_all, f_star=0.0, B=1.0, R=1.0,
         dimension=1, x_start=np.array([1.0]),
     )
-    for p in (_ball_scaled(), custom):
-        run(p, schedule, N=3)
-        with pytest.raises(ValueError, match="run_lockstep needs"):
-            run_lockstep([abs_instance(), p], [schedule] * 2, 3)
+    ball = instance_from_pieces(
+        PiecewiseLinearMax(np.eye(3), np.zeros(3)), f_star=-1.0 / np.sqrt(3.0),
+        x_star=-np.ones(3) / np.sqrt(3.0), x_start=np.zeros(3),
+        projection=project_ball(np.zeros(3), 1.0),
+    )
+    outsiders = {
+        "scaled": scale_instance(random_instance(3, 4, seed=5), 2.0, 3.0),
+        "scripted": _scripted_abs(9),  # scripted at an iteration it never queries
+        "inactive-script": _scripted_abs(3),
+        "ball": ball,
+        "custom oracle": custom,
+        "no start": replace(random_instance(3, 4, seed=6), x_start=None),
+    }
+    unit = [random_instance(4, 6, seed=1), abs_instance()]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "run", counted)
+    for name, p in outsiders.items():
+        batch = [unit[0], p, unit[1]]
+        if name in ("inactive-script", "no start"):
+            expected = _raised(lambda: [run(q, schedule, N=6) for q in batch])
+            assert _raised(lambda: run_lockstep(batch, [schedule] * 3, 6)) == expected
+            assert calls == batch[:2], name
+        else:
+            traces = run_lockstep(batch, [schedule] * 3, 6)
+            assert [_bits(t) for t in traces] == [_bits(run(q, schedule, N=6)) for q in batch]
+            assert calls == batch, name
+        calls.clear()
     assert run_lockstep([], [], 3) == []
     with pytest.raises(IncompatibleLength):
         run_lockstep([abs_instance()], [], 3)
