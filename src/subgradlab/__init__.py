@@ -29,6 +29,7 @@ from .certify import (
 )
 from .core import (
     PiecewiseLinearMax,
+    PiecewiseOracle,
     ProblemInstance,
     SubgradientSample,
     check_instance,
@@ -98,6 +99,7 @@ __all__ = [
     "MonotonicityViolation",
     "OptimizationFailed",
     "PiecewiseLinearMax",
+    "PiecewiseOracle",
     "ProblemInstance",
     "RateReport",
     "RunTrace",

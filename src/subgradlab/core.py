@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -37,7 +36,6 @@ ACTIVE_TOL = 1e-9
 # point's magnitude) to count as feasible.
 FEASIBLE_TOL = 1e-12
 
-Point = np.ndarray
 Oracle = Callable[[np.ndarray, "int | None"], "SubgradientSample"]
 Projection = Callable[[np.ndarray], np.ndarray]
 
@@ -120,6 +118,8 @@ class PiecewiseLinearMax:
         if self.scripted_choices is not None:
             m = slopes.shape[0]
             for it, piece in self.scripted_choices.items():
+                if not (isinstance(it, (int, np.integer)) and it >= 1):
+                    raise ValueError(f"scripted iteration {it!r} is not an integer >= 1")
                 if not (isinstance(piece, (int, np.integer)) and 0 <= piece < m):
                     raise ValueError(
                         f"scripted piece {piece!r} for iteration {it} is not a piece index "
@@ -145,7 +145,7 @@ def norm_above_B(norm, B) -> ValueError:
     return ValueError(f"oracle returned a subgradient of norm {norm}, exceeding B={B}")
 
 
-def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None = None):
+def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
     """The oracle of B * R * f(x / R), the piecewise-linear max dilated by
     (B, R), as a function ``(x, k=None) -> (value, g, norm)``.
 
@@ -154,20 +154,20 @@ def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None =
     highest-index active piece.  A piece is active when its value at x / R is
     within ``ACTIVE_TOL * (1 + |max|)`` of the maximum there, so the choice
     does not depend on (B, R).  Each field of a scaled answer is the unit
-    field times its scale: value by B * R, subgradient and norm by B; a
-    scale left as ``None`` counts as 1, and without B the subgradient is the
-    chosen row of ``f.slopes`` itself.  The pieces, script and scales are
-    bound once, and each piece's (g, norm) is kept in a memo local to the
-    returned function: callers must not write to g.  ``x`` must be a float64
-    array.
+    field times its scale: value by B * R, subgradient and norm by B.  A
+    scale of 1.0 is skipped, which keeps every bit (x / 1.0 == x), so with
+    B == 1.0 the subgradient is the chosen row of ``f.slopes`` itself.  The
+    pieces, script and scales are bound once, and each piece's (g, norm) is
+    kept in a memo local to the returned function: callers must not write to
+    g.  ``x`` must be a float64 array.
     """
     dot, intercepts, slopes = f.slopes.dot, f.intercepts, f.slopes
     script = f.scripted_choices or {}
-    BR = (1.0 if B is None else B) * (1.0 if R is None else R)
+    BR = B * R
     memo = [None] * len(intercepts)
 
     def query(x, k=None):
-        vals = dot(x if R is None else x / R)  # the gemv of `@`, without the ufunc
+        vals = dot(x if R == 1.0 else x / R)  # the gemv of `@`, without the ufunc
         vals += intercepts
         fmax = float(np.maximum.reduce(vals))
         threshold = active_threshold(fmax)
@@ -190,7 +190,7 @@ def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None =
         if answer is None:
             row = slopes[piece]
             norm = math.sqrt(row.dot(row))
-            answer = memo[piece] = (row, norm) if B is None else (B * row, B * norm)
+            answer = memo[piece] = (row, norm) if B == 1.0 else (B * row, B * norm)
         g, norm = answer
         return BR * fmax, g, norm
 
@@ -198,25 +198,25 @@ def plmax_query(f: PiecewiseLinearMax, B: float | None = None, R: float | None =
 
 
 def eval_plmax(
-    f: PiecewiseLinearMax, x: np.ndarray, k: int | None = None, *, B=None, R=None
+    f: PiecewiseLinearMax, x: np.ndarray, k: int | None = None, *, B=1.0, R=1.0
 ) -> SubgradientSample:
     """A record of one query of ``plmax_query(f, B, R)``: the answer of
     B * R * f(x / R) at ``x`` for iteration ``k``."""
     return SubgradientSample(*plmax_query(f, B, R)(x, k))
 
 
-def plmax_parts(oracle) -> tuple[PiecewiseLinearMax, float | None, float | None] | None:
-    """The pieces f and scales (B, R) of an oracle ``partial(eval_plmax, f,
-    B=.., R=..)``, a scale left out as ``None``, or ``None`` for any other
-    oracle.  This is the one reader of that encoding."""
-    if not (
-        isinstance(oracle, partial)
-        and oracle.func is eval_plmax
-        and len(oracle.args) == 1
-        and oracle.keywords.keys() <= {"B", "R"}
-    ):
-        return None
-    return oracle.args[0], oracle.keywords.get("B"), oracle.keywords.get("R")
+@dataclass(frozen=True)
+class PiecewiseOracle:
+    """The oracle of B * R * f(x / R) for the pieces f, read field by field
+    by ``run``, ``run_lockstep`` and ``scale_instance``: a call returns
+    ``eval_plmax(pieces, x, k, B=B, R=R)``.  A unit scale is 1.0."""
+
+    pieces: PiecewiseLinearMax
+    B: float = 1.0
+    R: float = 1.0
+
+    def __call__(self, x: np.ndarray, k: int | None = None) -> SubgradientSample:
+        return eval_plmax(self.pieces, x, k, B=self.B, R=self.R)
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,8 @@ class ProblemInstance:
     ``dimension``; the reference fields ``f_star``/``x_star`` exist purely so
     that gaps and certificates can be measured after the fact.  ``x_start``
     is the canonical initial iterate for instances that come with one (the
-    worst-case constructions do).
+    worst-case constructions do).  ``oracle`` is a :class:`PiecewiseOracle`
+    for a piecewise-linear max, or any ``(x, k) -> SubgradientSample``.
     """
 
     oracle: Oracle
@@ -284,7 +285,7 @@ def instance_from_pieces(
     elif dist > R * (1.0 + 1e-12):
         raise ValueError(f"||x_start - x_star|| = {dist} exceeds declared R={R}")
     return ProblemInstance(
-        oracle=partial(eval_plmax, pieces),
+        oracle=PiecewiseOracle(pieces),
         projection=projection if projection is not None else project_all,
         f_star=float(f_star),
         B=float(B),
@@ -353,25 +354,21 @@ def scale_instance(p: ProblemInstance, B: float, R: float) -> ProblemInstance:
     returns ``p`` itself.  The new objective is f'(x) = B * R * f(x / R)
     over the dilated feasible set R * X, which maps minimizers to R * x_star
     and keeps every rate in the package exact after multiplying by B * R.
-    The oracle stays ``eval_plmax`` on the same pieces with (B, R) bound.
-    Whole-space instances keep ``project_all``, since R * R^d = R^d; any
-    other projection P becomes ``R * P(y / R)``.  Other oracles raise
-    ``ValueError``.
+    The oracle stays a :class:`PiecewiseOracle` on the same pieces, with
+    each scale multiplied by the new one.  Whole-space instances keep
+    ``project_all``, since R * R^d = R^d; any other projection P becomes
+    ``R * P(y / R)``.  Other oracles raise ``ValueError``.
     """
     if abs(p.B - 1.0) > 1e-12 or abs(p.R - 1.0) > 1e-12:
         raise ValueError("scale_instance expects a normalized instance with B = R = 1")
     B, R = _validate_scale(B, R)
     if B == R == 1.0:
         return p
-    parts = plmax_parts(p.oracle)
-    if parts is None:
+    if not isinstance(p.oracle, PiecewiseOracle):
         raise ValueError(f"scale_instance needs a piecewise-linear oracle, {p.name} has another")
-    f, fB, fR = parts
     inner = p.projection
     return ProblemInstance(
-        oracle=partial(
-            eval_plmax, f, B=B * (1.0 if fB is None else fB), R=R * (1.0 if fR is None else fR)
-        ),
+        oracle=PiecewiseOracle(p.oracle.pieces, B * p.oracle.B, R * p.oracle.R),
         projection=inner if inner is project_all else lambda y: R * inner(y / R),
         f_star=B * R * p.f_star,
         B=B,

@@ -20,9 +20,13 @@ from .sequences import s
 
 
 def _validate_horizon(N: int) -> int:
-    if int(N) != N or N < 1:
+    try:
+        n = int(N)
+    except (OverflowError, ValueError):  # an infinite or NaN N
+        n = 0
+    if n != N or n < 1:
         raise ValueError(f"horizon must be an integer >= 1, got {N}")
-    return int(N)
+    return n
 
 
 def _validate_step(h: float, name: str = "h") -> float:

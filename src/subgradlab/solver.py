@@ -137,8 +137,8 @@ def run(
     the current point is replicated through x^{N+1}, the remaining step
     slots are padded with nominal positive values, and the trace is flagged
     ``terminated_early``; the final query at index N+1 is still made.
-    There is one loop, with its query chosen once: ``core.plmax_query`` for
-    an oracle ``partial(eval_plmax, f, B=.., R=..)``, else the oracle itself.
+    There is one loop, with its query chosen once: ``core.plmax_query`` on
+    the fields of a ``PiecewiseOracle``, else the oracle itself.
     """
     if N is None:
         if schedule.N is None:
@@ -154,8 +154,8 @@ def run(
     if not p.is_feasible(x):
         raise InfeasibleReference("initial point is not in the feasible set")
 
-    parts = core.plmax_parts(p.oracle)
-    query = p.oracle if parts is None else core.plmax_query(*parts)
+    o = p.oracle
+    query = core.plmax_query(o.pieces, o.B, o.R) if isinstance(o, core.PiecewiseOracle) else o
     project, rule, by_length = p.projection, schedule.rule, schedule.by_length
     B, R = p.B, p.R
     max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
@@ -209,9 +209,9 @@ def run_lockstep(
     """``[run(p, s, N=N) for p, s in zip(instances, schedules)]``, bit for
     bit, with the trajectories stepped together when the batch takes them.
 
-    The batch takes unit, unscripted whole-space instances: an oracle
-    ``partial(eval_plmax, f)`` with no scale and no script, ``project_all``
-    and a canonical start; shapes and schedules may differ.  A step makes
+    The batch takes unit, unscripted whole-space instances: a
+    ``PiecewiseOracle`` with B = R = 1.0 and no script, ``project_all`` and
+    a canonical start; shapes and schedules may differ.  A step makes
     one gemv per trajectory, ``f.slopes.dot(x, out=row)`` into its row of a
     buffer padded with pieces of intercept -inf, which are never active;
     every other operation of ``plmax_query`` and of ``run``'s loop is one
@@ -234,11 +234,12 @@ def run_lockstep(
     pieces, starts = [], []
     for p, schedule in zip(instances, schedules):
         schedule.check_supports(N)
-        parts = core.plmax_parts(p.oracle)
-        unit = parts is not None and parts[1:] == (None, None) and not parts[0].scripted_choices
-        if not unit or p.projection is not core.project_all or p.x_start is None:
+        o = p.oracle
+        if not (isinstance(o, core.PiecewiseOracle) and o.B == o.R == 1.0) or (
+            o.pieces.scripted_choices or p.projection is not core.project_all or p.x_start is None
+        ):
             return one_by_one()
-        pieces.append(parts[0])
+        pieces.append(o.pieces)
         starts.append(as_point(p.x_start, p.dimension))  # feasible under project_all
     if T == 0:
         return []

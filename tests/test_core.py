@@ -1,3 +1,5 @@
+import math
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from subgradlab import core
 from subgradlab import (
     PiecewiseLinearMax,
+    PiecewiseOracle,
     ProblemInstance,
     ScriptedPieceInactive,
     StepSchedule,
@@ -78,7 +81,7 @@ def test_sample_norm_matches_linalg_norm():
     rng = np.random.default_rng(17)
     vectors = [np.zeros(3), np.array([0.0, 1e-10, 0.0]), np.array([3.0, -4.0, 0.1])]
     vectors += [rng.standard_normal(d) * 10.0 ** rng.integers(-8, 8) for d in (1, 2, 8, 32, 201)]
-    vectors += list(long_step_instance(200, 0.3).oracle.args[0].slopes)
+    vectors += list(long_step_instance(200, 0.3).oracle.pieces.slopes)
     for g in vectors:
         assert SubgradientSample.of(1.0, g).norm == float(np.linalg.norm(g))
 
@@ -101,13 +104,25 @@ def _bits(sample):
 
 @pytest.mark.parametrize(
     "pieces",
-    [random_instance(8, 16, seed=3).oracle.args[0], long_step_instance(20, 0.4).oracle.args[0]],
+    [random_instance(8, 16, seed=3).oracle.pieces, long_step_instance(20, 0.4).oracle.pieces],
     ids=["random", "longstep"],
 )
 def test_unit_oracle_equals_the_explicit_unit_dilation(pieces):
+    """The oracle skips a unit scale; the reference always divides x by R
+    and multiplies by B and B * R, which gives the same bits at 1.0."""
+
+    def dilated(x, B, R):
+        vals = pieces.slopes.dot(x / R) + pieces.intercepts
+        fmax = float(np.maximum.reduce(vals))
+        row = pieces.slopes[(vals >= core.active_threshold(fmax)).nonzero()[0][-1]]
+        return SubgradientSample(B * R * fmax, B * row, B * math.sqrt(row.dot(row)))
+
     rng = np.random.default_rng(5)
     for x in rng.standard_normal((100, pieces.dimension)):
-        assert _bits(eval_plmax(pieces, x)) == _bits(eval_plmax(pieces, x, B=1.0, R=1.0))
+        for B, R in [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (2.0, 3.0)]:
+            assert _bits(eval_plmax(pieces, x, B=B, R=R)) == _bits(dilated(x, B, R))
+            assert _bits(PiecewiseOracle(pieces, B, R)(x)) == _bits(dilated(x, B, R))
+        assert _bits(eval_plmax(pieces, x)) == _bits(dilated(x, 1.0, 1.0))
 
 
 def test_oracle_value_matches_matmul_reference():
@@ -115,7 +130,7 @@ def test_oracle_value_matches_matmul_reference():
     bit, unit and dilated, on random pieces of many shapes and on long-step
     pieces up to N = 200."""
     rng = np.random.default_rng(41)
-    all_pieces = [long_step_instance(N, 0.6).oracle.args[0] for N in (1, 5, 50, 150, 200)]
+    all_pieces = [long_step_instance(N, 0.6).oracle.pieces for N in (1, 5, 50, 150, 200)]
     for m, d in [(1, 1), (2, 3), (4, 5), (8, 8), (16, 9), (33, 17), (64, 32), (7, 201)]:
         all_pieces.append(PiecewiseLinearMax(rng.standard_normal((m, d)), rng.standard_normal(m)))
     for pieces in all_pieces:
@@ -128,28 +143,28 @@ def test_oracle_value_matches_matmul_reference():
 
 def test_unit_scale_binds_nothing_into_the_oracle():
     p = random_instance(4, 6, seed=2)
-    assert scale_instance(p, 1.0, 1.0).oracle.keywords == {}
-    assert p.oracle.keywords == {}
+    assert scale_instance(p, 1.0, 1.0) is p
+    assert p.oracle == PiecewiseOracle(p.oracle.pieces, 1.0, 1.0)
 
 
-def test_plmax_parts_decodes_only_the_piecewise_oracle():
+def test_piecewise_oracle_is_plain_data():
     unit = random_instance(3, 4, seed=0)
-    f, B, R = core.plmax_parts(unit.oracle)
-    assert f is unit.oracle.args[0] and (B, R) == (None, None)
-    f2, B, R = core.plmax_parts(scale_instance(unit, 2.0, 3.0).oracle)
-    assert f2 is f and (B, R) == (2.0, 3.0)
-    for other in (
-        eval_plmax,
-        partial(eval_plmax, f, np.zeros(3)),
-        partial(eval_plmax, f, k=1),
-        lambda x, k=None: eval_plmax(f, x, k),
-    ):
-        assert core.plmax_parts(other) is None
+    f = unit.oracle.pieces
+    assert type(unit.oracle) is PiecewiseOracle and (unit.oracle.B, unit.oracle.R) == (1.0, 1.0)
+    scaled = scale_instance(unit, 2.0, 3.0).oracle
+    assert type(scaled) is PiecewiseOracle and scaled.pieces is f
+    assert (scaled.B, scaled.R) == (2.0, 3.0)
+    x = np.array([0.3, -0.2, 0.5])
+    for k in (None, 1, 4):
+        assert _bits(scaled(x, k)) == _bits(eval_plmax(f, x, k, B=2.0, R=3.0))
+        assert _bits(unit.oracle(x, k)) == _bits(eval_plmax(f, x, k))
+    with pytest.raises(FrozenInstanceError):
+        scaled.B = 1.0
 
 
 def test_evaluate_and_run_give_one_message_for_a_norm_above_B():
     low_B = ProblemInstance(
-        oracle=partial(eval_plmax, ABS_PIECES), projection=project_all, f_star=0.0, B=0.5,
+        oracle=PiecewiseOracle(ABS_PIECES), projection=project_all, f_star=0.0, B=0.5,
         R=1.0, dimension=1, x_start=np.array([1.0]),
     )
     with pytest.raises(ValueError) as evaluated:
@@ -183,7 +198,7 @@ def test_run_copies_every_point_and_subgradient(scale):
     for i, row in enumerate(rows):
         assert not np.shares_memory(row, x1)
         assert not any(np.shares_memory(row, other) for other in rows[i + 1 :])
-    assert not np.shares_memory(trace.subgradients, p.oracle.args[0].slopes)
+    assert not np.shares_memory(trace.subgradients, p.oracle.pieces.slopes)
 
 
 def test_pieces_validation():
@@ -197,6 +212,12 @@ def test_pieces_validation():
             intercepts=np.zeros(2),
             scripted_choices={1: 5},
         )
+    for key in (1.5, 0, -2, "1", None):
+        with pytest.raises(ValueError, match=f"scripted iteration {key!r} is not an integer >= 1"):
+            PiecewiseLinearMax(
+                slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2),
+                scripted_choices={1: 1, key: 1},
+            )
     with pytest.raises(ValueError, match="at most two axes"):
         PiecewiseLinearMax(slopes=np.zeros((2, 2, 2)), intercepts=np.zeros(2))
     # 0-D and 1-D slopes are one piece
@@ -206,11 +227,11 @@ def test_pieces_validation():
 
 def test_slope_norms_match_linalg_norm():
     rng = np.random.default_rng(23)
-    all_pieces = [long_step_instance(200, 0.3).oracle.args[0], ABS_PIECES]
+    all_pieces = [long_step_instance(200, 0.3).oracle.pieces, ABS_PIECES]
     for m, d in [(1, 1), (3, 2), (16, 8), (40, 33), (7, 201)]:
         slopes = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))
         all_pieces.append(PiecewiseLinearMax(slopes, np.zeros(m)))
-        all_pieces.append(random_instance(d, m, seed=m).oracle.args[0])
+        all_pieces.append(random_instance(d, m, seed=m).oracle.pieces)
     for pieces in all_pieces:
         reference = np.linalg.norm(pieces.slopes, axis=1)
         assert np.array_equal(pieces.slope_norms, reference)
@@ -302,26 +323,26 @@ def test_scaled_run_builds_one_query_per_run(monkeypatch):
     assert not trace.terminated_early
     assert len(built) == 1
     assert answers == list(range(1, trace.horizon + 2))
-    assert q.oracle.func is eval_plmax
+    assert type(q.oracle) is PiecewiseOracle
 
 
 def test_scale_instance_rejects_other_oracles():
-    p = ProblemInstance(
-        oracle=lambda x, k=None: SubgradientSample.of(float(x[0]), np.ones(1)),
-        projection=project_all,
-        f_star=0.0,
-        B=1.0,
-        R=1.0,
-        dimension=1,
-    )
-    with pytest.raises(ValueError):
-        scale_instance(p, 2.0, 3.0)
+    # a hand-built partial of eval_plmax is a custom oracle like any other
+    for oracle in (
+        lambda x, k=None: SubgradientSample.of(float(x[0]), np.ones(1)),
+        partial(eval_plmax, ABS_PIECES),
+    ):
+        p = ProblemInstance(
+            oracle=oracle, projection=project_all, f_star=0.0, B=1.0, R=1.0, dimension=1,
+        )
+        with pytest.raises(ValueError, match="needs a piecewise-linear oracle"):
+            scale_instance(p, 2.0, 3.0)
 
 
 def test_scale_instance_composes_with_an_earlier_dilation():
     once = scale_instance(abs_instance(), 2.0, 3.0)
     twice = scale_instance(scale_instance(abs_instance(), 1.0, 1.0), 2.0, 3.0)
-    assert twice.oracle.keywords == once.oracle.keywords == {"B": 2.0, "R": 3.0}
+    assert (twice.oracle.B, twice.oracle.R) == (once.oracle.B, once.oracle.R) == (2.0, 3.0)
     a, b = twice.evaluate(np.array([1.5])), once.evaluate(np.array([1.5]))
     assert a.value == b.value
     assert np.array_equal(a.subgradient, b.subgradient)

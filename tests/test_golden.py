@@ -64,6 +64,15 @@ CASES = {
         "run", "--instance", "random", "--method", "optimal-length", "--N", "5000",
         "--dim", "2", "--directions", "4", "--seed", "5", "--B", "2", "--R", "3",
     ),
+    # one scale left at 1.0: the oracle skips only the other's multiply or divide
+    "sweep_longstep_length_B2.csv": (
+        "sweep", "--method", "length", "--instance", "longstep", "--N-list", "4,9",
+        "--h-grid", "0.3:0.5:0.1", "--B", "2",
+    ),
+    "run_random_constant_R3.csv": (
+        "run", "--instance", "random", "--method", "constant", "--N", "2000",
+        "--dim", "8", "--directions", "16", "--h", "0.1", "--R", "3",
+    ),
 }
 
 

@@ -155,6 +155,18 @@ def test_validators():
         optimal_method_rate(0)
 
 
+@pytest.mark.parametrize("N", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+@pytest.mark.parametrize(
+    "call",
+    [lambda N: constant_step_rate(N, 0.1), optimal_step_weights,
+     StepSchedule.optimal_last_iterate],
+    ids=["constant_step_rate", "optimal_step_weights", "optimal_last_iterate"],
+)
+def test_a_non_finite_horizon_raises_the_horizon_error(call, N):
+    with pytest.raises(ValueError, match=r"^horizon must be an integer >= 1, got -?(inf|nan)$"):
+        call(N)
+
+
 def _abs_avg_gap(weights):
     p = abs_instance()
     return avg_gap(run(p, StepSchedule.constant_normalized(0.1), N=2), p, weights)

@@ -11,6 +11,7 @@ from subgradlab import (
     IncompatibleLength,
     InfeasibleReference,
     PiecewiseLinearMax,
+    PiecewiseOracle,
     ProblemInstance,
     ScheduleExhausted,
     ScriptedPieceInactive,
@@ -30,7 +31,7 @@ from subgradlab import (
     scale_instance,
 )
 from subgradlab import solver
-from subgradlab.core import ACTIVE_TOL, ZERO_TOL, as_point, plmax_parts
+from subgradlab.core import ACTIVE_TOL, ZERO_TOL, as_point
 from subgradlab.rates import TWO_STEP_FIRST
 from subgradlab.worstcase import (
     abs_instance,
@@ -460,6 +461,23 @@ def test_a_custom_oracle_runs_bit_equal_to_its_piecewise_instance(schedule):
     assert _bits(run(custom, schedule, N=25)) == _bits(run(pieces, schedule, N=25))
 
 
+@pytest.mark.parametrize(
+    "schedule", _all_schedules(25),
+    ids=["custom", "constant", "length", "optimal", "optimal-length"],
+)
+def test_a_partial_oracle_runs_bit_equal_to_its_piecewise_instance(schedule):
+    """A hand-built ``partial(eval_plmax, f)`` is a custom oracle, which
+    ``run`` queries once per answer: it gives the bits of the instance's own
+    ``PiecewiseOracle``, and a lock-step batch that holds it returns
+    ``run``'s traces."""
+    for p in (random_instance(4, 6, seed=7), long_step_instance(25, 0.3)):
+        hand = replace(p, oracle=partial(eval_plmax, p.oracle.pieces))
+        assert _bits(run(hand, schedule, N=25)) == _bits(run(p, schedule, N=25))
+        batch = [random_instance(3, 4, seed=1), hand, p]
+        traces = run_lockstep(batch, [schedule] * 3, 25)
+        assert [_bits(t) for t in traces] == [_bits(run(q, schedule, N=25)) for q in batch]
+
+
 def test_a_custom_oracle_above_B_raises_from_run():
     def oracle(x, k=None):
         return SubgradientSample.of(abs(float(x[0])), np.array([10.0 if k == 3 else 1.0]))
@@ -520,8 +538,7 @@ def _lockstep_batch(N):
 
 
 def _unit_unscripted(p):
-    f, B, R = plmax_parts(p.oracle)
-    return B is None and R is None and not f.scripted_choices
+    return p.oracle.B == p.oracle.R == 1.0 and not p.oracle.pieces.scripted_choices
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 50])
@@ -598,7 +615,7 @@ def test_lockstep_raises_what_run_raises_for_the_first_failing_trajectory(B, R):
 def test_lockstep_raises_the_norm_check_of_run():
     pieces = PiecewiseLinearMax(slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2))
     low_B = ProblemInstance(
-        oracle=partial(eval_plmax, pieces), projection=project_all, f_star=0.0, B=0.5,
+        oracle=PiecewiseOracle(pieces), projection=project_all, f_star=0.0, B=0.5,
         R=1.0, dimension=1, x_start=np.array([1.0]),
     )
     schedule = StepSchedule.constant_normalized(0.1)

@@ -166,7 +166,7 @@ def test_random_instance_matches_reference_draws(dim):
         for seed in range(10):
             p = random_instance(dim, directions, seed=[seed, dim])
             slopes, x_start = _reference_random_pieces(dim, directions, [seed, dim])
-            assert np.array_equal(p.oracle.args[0].slopes, slopes)
+            assert np.array_equal(p.oracle.pieces.slopes, slopes)
             assert np.array_equal(p.x_start, x_start)
             assert (p.B, p.R) == (1.0, 1.0)
 
@@ -233,6 +233,6 @@ def test_long_step_slopes_match_scalar_reference(N):
     for h in (knee * 1.0001, knee * 1.7, knee * 9.3, 0.37, 2.5):  # knee <= 1/4
         expected = _reference_long_step_slopes(N, h)
         for scripted in (True, False):
-            pieces = long_step_instance(N, h, scripted=scripted).oracle.args[0]
+            pieces = long_step_instance(N, h, scripted=scripted).oracle.pieces
             assert np.array_equal(pieces.slopes, expected)
             assert np.array_equal(pieces.intercepts, np.zeros(N + 2))
