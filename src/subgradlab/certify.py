@@ -53,21 +53,52 @@ class WeightSequence:
         v = np.asarray(self.v, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError(f"weights must be a 1-D sequence, got shape {v.shape}")
-        if len(v) < 2:
-            raise IncompatibleLength("need at least v_0 and v_1")
-        if not np.isfinite(v).all():
-            raise ValueError("weights have non-finite entries")
-        # v[1:] < v[:-1] is np.diff(v) < 0 for the finite v checked above
-        if v[0] <= 0 or (v[1:] < v[:-1]).any():
-            raise MonotonicityViolation(
-                "weights must be positive and non-decreasing"
-            )
+        check_weight_rows(v[None])
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "h_last", _validate_step(self.h_last, "h_last"))
 
     @property
     def horizon(self) -> int:
         return len(self.v) - 2
+
+
+def check_weight_rows(v: np.ndarray, h_last: np.ndarray | None = None) -> None:
+    """``WeightSequence``'s checks on each row of the weights v (T, N + 2)
+    and, when given, on its extra step ``h_last[t]``: raise the first failing
+    row's first error."""
+    if v.shape[1] < 2:
+        raise IncompatibleLength("need at least v_0 and v_1")
+    finite = np.isfinite(v).all(axis=1)
+    # v[:, 1:] < v[:, :-1] is np.diff(v) < 0 on the finite rows
+    ordered = (v[:, 0] > 0) & ~(v[:, 1:] < v[:, :-1]).any(axis=1)
+    bad = ~(finite & ordered)
+    if h_last is not None:
+        bad |= ~(np.isfinite(h_last) & (h_last > 0))
+    if bad.any():
+        t = int(bad.argmax())
+        if not finite[t]:
+            raise ValueError("weights have non-finite entries")
+        if not ordered[t]:
+            raise MonotonicityViolation("weights must be positive and non-decreasing")
+        _validate_step(h_last[t], "h_last")
+
+
+def _realized_steps(w: WeightSequence, steps: Sequence[float]) -> np.ndarray:
+    """The N realized steps, checked against the weights' horizon."""
+    steps = np.asarray(steps, dtype=np.float64)
+    if steps.ndim != 1 or len(steps) != w.horizon:
+        raise IncompatibleLength(
+            f"weights expect {w.horizon} realized steps, got {steps.shape}"
+        )
+    return steps
+
+
+def _coefficient_rows(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c_1 .. c_{N+1} of each row of the steps h (T, N + 1) and weights v."""
+    v1 = v[:, 1:]
+    # suffix[:, k-1] = sum_{i=k}^{N+1} h_i v_i
+    suffix = (h * v1)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return h * v1**2 - (v1 - v[:, :-1]) * suffix
 
 
 def coefficients(w: WeightSequence, steps: Sequence[float]) -> np.ndarray:
@@ -77,23 +108,36 @@ def coefficients(w: WeightSequence, steps: Sequence[float]) -> np.ndarray:
     sequence supplies h_{N+1}.  The coefficients always satisfy the exact
     identity sum_k c_k = v_0 * sum_k h_k v_k.
     """
-    steps = np.asarray(steps, dtype=np.float64)
-    if steps.ndim != 1 or len(steps) != w.horizon:
-        raise IncompatibleLength(
-            f"weights expect {w.horizon} realized steps, got {steps.shape}"
-        )
-    h = np.concatenate((steps, (w.h_last,)))  # h_1 .. h_{N+1}
-    v = w.v
-    v1 = v[1:]
-    # suffix[k-1] = sum_{i=k}^{N+1} h_i v_i
-    suffix = (h * v1)[::-1].cumsum()[::-1]
-    return h * v1**2 - (v1 - v[:-1]) * suffix
+    h = np.concatenate((_realized_steps(w, steps), (w.h_last,)))  # h_1 .. h_{N+1}
+    return _coefficient_rows(h[None], w.v[None])[0]
 
 
 class LemmaCheck(NamedTuple):
     lhs: float
     rhs: float
     slack: float
+
+
+def lemma_rows(steps, h_last, v, values, f_hat, g_norms_sq, d_sq) -> LemmaCheck:
+    """Both sides of the inequality for T trials at once, as arrays.
+
+    Row t holds trial t: its N realized ``steps``, extra step ``h_last[t]``,
+    weights ``v`` (N + 2), ``values`` f(x^1) .. f(x^{N+1}), ``f_hat`` =
+    f(x_hat), squared subgradient norms ``g_norms_sq`` (N + 1) and
+    ``d_sq`` = ||x^1 - x_hat||^2.  Each row keeps the bits of a 1-D
+    evaluation: every sum runs along the contiguous last axis of a
+    trial-major array, which adds in the 1-D order (along the other axis
+    numpy adds in another order from 8 terms on), and the left side is one
+    ddot per trial.
+    """
+    h = np.concatenate((steps, h_last[:, None]), axis=1)  # h_1 .. h_{N+1}
+    c = _coefficient_rows(h, v)
+    gaps = np.ascontiguousarray(values) - f_hat[:, None]
+    lhs = np.array([ct.dot(gt) for ct, gt in zip(c, gaps)])
+    rhs = 0.5 * v[:, 0] ** 2 * d_sq + 0.5 * np.add.reduce(
+        h**2 * v[:, 1:] ** 2 * g_norms_sq, axis=1
+    )
+    return LemmaCheck(lhs, rhs, rhs - lhs)
 
 
 def verify_lemma(
@@ -104,29 +148,26 @@ def verify_lemma(
     Returns ``(lhs, rhs, slack)`` with ``slack = rhs - lhs``; a valid trace,
     feasible reference and valid weights always give slack >= 0 up to
     rounding.  The subgradient at the final point comes from the trace, so
-    the only oracle query is for the value at ``x_hat``.
+    the only oracle query is for the value at ``x_hat``.  The sides are the
+    one row of :func:`lemma_rows`.
     """
-    c = coefficients(w, trace.steps)
+    steps = _realized_steps(w, trace.steps)
     x_hat = as_point(x_hat, p.dimension)
     if not p.is_feasible(x_hat):
         raise InfeasibleReference("reference point is not in the feasible set")
 
     f_hat = p.evaluate(x_hat).value
-    lhs = float(c.dot(trace.values - f_hat))
-
     g = trace.subgradients
     # A dot for the last squared norm on purpose: the certify output pins its
     # bits, which a row-wise sum can move, until one fixed-order kernel serves both.
     g_norms_sq = np.add.reduce(g * g, axis=1)
     g_norms_sq[-1] = g[-1].dot(g[-1])
-    h = np.concatenate((trace.steps, (w.h_last,)))
-    v = w.v
     d = trace.points[0] - x_hat
-    rhs = float(
-        0.5 * v[0] ** 2 * float(np.add.reduce(d * d))
-        + 0.5 * float(np.add.reduce(h**2 * v[1:] ** 2 * g_norms_sq))
+    check = lemma_rows(
+        steps[None], np.array([w.h_last]), w.v[None], trace.values[None],
+        np.array([f_hat]), g_norms_sq[None], np.add.reduce(d * d, keepdims=True),
     )
-    return LemmaCheck(lhs, rhs, rhs - lhs)
+    return LemmaCheck(*(float(side[0]) for side in check))
 
 
 # --- weight constructions that collapse the left side ------------------------

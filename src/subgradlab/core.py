@@ -255,6 +255,22 @@ class ProblemInstance:
         return math.hypot(*d.tolist()) <= FEASIBLE_TOL * max(1.0, math.hypot(*x.tolist()))
 
 
+def check_bounds(max_norm, dist, B, R) -> None:
+    """The check of a declared B and R, on one instance or on arrays of
+    them: raise for the first instance whose largest slope norm exceeds
+    B (1 + 1e-12), or else whose ||x_start - x_star|| ``dist`` exceeds
+    R (1 + 1e-12)."""
+    over_B = max_norm > B * (1.0 + 1e-12)
+    bad = over_B | (dist > R * (1.0 + 1e-12))
+    if not (bad if isinstance(bad, bool) else bad.any()):
+        return
+    t = int(np.argmax(bad))
+    max_norm, dist, over_B = np.atleast_1d(max_norm, dist, over_B)
+    if over_B[t]:
+        raise ValueError(f"slope norm {float(max_norm[t])} exceeds declared B={B}")
+    raise ValueError(f"||x_start - x_star|| = {float(dist[t])} exceeds declared R={R}")
+
+
 def instance_from_pieces(
     pieces: PiecewiseLinearMax,
     *,
@@ -274,16 +290,11 @@ def instance_from_pieces(
     x_star = as_point(x_star, pieces.dimension)
     x_start = as_point(x_start, pieces.dimension)
     max_norm = pieces.max_slope_norm()
-    if B is None:
-        B = max_norm
-    elif max_norm > B * (1.0 + 1e-12):
-        raise ValueError(f"slope norm {max_norm} exceeds declared B={B}")
     d = x_start - x_star
     dist = math.sqrt(d.dot(d))
-    if R is None:
-        R = dist
-    elif dist > R * (1.0 + 1e-12):
-        raise ValueError(f"||x_start - x_star|| = {dist} exceeds declared R={R}")
+    B = max_norm if B is None else B
+    R = dist if R is None else R
+    check_bounds(max_norm, dist, B, R)
     return ProblemInstance(
         oracle=PiecewiseOracle(pieces),
         projection=projection if projection is not None else project_all,

@@ -203,6 +203,112 @@ def run(
     )
 
 
+class PieceBatch:
+    """T unit piecewise-linear maxima answered together, each with the bits of
+    its own ``plmax_query``.
+
+    Each trajectory's slopes stay its own contiguous array, for the one gemv
+    per answer, ``slopes.dot(x, out=row)`` into its row of ``V``; ``slopes``
+    pads them into a (T, M, D) buffer for the gather of the chosen rows, and
+    the padded pieces have intercept -inf, so they are never active.
+    ``norms`` holds the query's ``sqrt(row.dot(row))`` of every piece: one
+    stacked ``matmul`` of the rows with themselves per dimension, which makes
+    the same dot.  Every other operation of an answer is one numpy call over
+    the batch, in the query's order.
+    """
+
+    def __init__(self, slopes: Sequence[np.ndarray], intercepts: Sequence[np.ndarray]):
+        self.own = slopes
+        self.dims = np.array([s.shape[1] for s in slopes])
+        T, M = len(slopes), max(s.shape[0] for s in slopes)
+        self.slopes = np.zeros((T, M, int(self.dims.max())))
+        self.intercepts = np.full((T, M), -np.inf)
+        for t, (s, c) in enumerate(zip(slopes, intercepts)):
+            m, d = s.shape
+            self.slopes[t, :m, :d] = s
+            self.intercepts[t, :m] = c
+        self.real = self.intercepts > -np.inf
+        self.norms = np.zeros((T, M))
+        for d in set(self.dims.tolist()):
+            sel = self.dims == d
+            rows = self.slopes[sel, :, :d]
+            self.norms[sel] = np.sqrt(np.matmul(rows[..., None, :], rows[..., None]))[..., 0, 0]
+        self.V = np.zeros((T, M))  # padding: 0, then -inf once the intercepts are added
+        self.active = np.zeros((T, M), dtype=bool)
+        self.ar = np.arange(T)
+
+    def gemvs(self, X: np.ndarray) -> list:
+        """Each trajectory's gemv, bound to its row of the points X (T, D)."""
+        return [(s.dot, X[t, : s.shape[1]], self.V[t, : s.shape[0]]) for t, s in enumerate(self.own)]
+
+    def answer(self, gemvs: list, fmax: np.ndarray) -> np.ndarray | None:
+        """The query's answer for every trajectory at the points ``gemvs``
+        reads: the maximum into ``fmax`` and the index of the highest active
+        piece, or None when some maximum is NaN or +inf (``run`` raises)."""
+        for dot, x, out in gemvs:
+            dot(x, out=out)  # the gemv of `@`, without the ufunc
+        np.add(self.V, self.intercepts, out=self.V)
+        np.maximum.reduce(self.V, axis=1, out=fmax)
+        thr = core.active_threshold(fmax)
+        if np.isnan(thr).any():
+            return None
+        np.greater_equal(self.V, thr[:, None], out=self.active, where=self.real)
+        return (self.V.shape[1] - 1) - self.active[:, ::-1].argmax(axis=1)
+
+
+def planned_steps(schedules: Sequence[StepSchedule], B, R, N: int) -> np.ndarray:
+    """(N, T): ``rule(k, B, R)`` of each schedule; a by-length step is
+    divided by the norm when it is taken."""
+    steps = np.empty((N, len(schedules)))
+    for t, (schedule, b, r) in enumerate(zip(schedules, B, R)):
+        steps[:, t] = [schedule.rule(k, b, r) for k in range(1, N + 1)]
+    return steps
+
+
+def step_together(
+    batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length: np.ndarray, B: np.ndarray, N: int
+):
+    """The lock-step loop: ``run``'s N steps and final query for every
+    trajectory of ``batch`` from the points X (T, D), which it moves, with
+    the planned ``steps`` (N, T), which it turns into the realized ones.
+
+    Returns ``(values, points, subgradients, pieces)``, arrays of N + 1 rows
+    over the trajectories, ``pieces`` holding the index of the piece each
+    answer chose; or None when some answer would make ``run`` raise (a norm
+    above B, no active piece) or, before the final query, stop early (a
+    norm at or below ``ZERO_TOL * B``).
+    """
+    T, D = X.shape
+    max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
+    any_by_length = bool(by_length.any())
+    HG = np.empty((T, D))
+    values = np.empty((N + 1, T))
+    points = np.empty((N + 1, T, D))
+    subgradients = np.empty((N + 1, T, D))
+    pieces = np.empty((N + 1, T), dtype=np.intp)
+    points[0] = X
+    gemvs = batch.gemvs(X)
+
+    for k in range(1, N + 2):  # N steps, then the final query at N + 1
+        piece = batch.answer(gemvs, values[k - 1])
+        if piece is None:
+            return None
+        pieces[k - 1] = piece
+        G = subgradients[k - 1] = batch.slopes[batch.ar, piece]
+        norm = batch.norms[batch.ar, piece]
+        if (norm > max_norm).any() or k <= N and (norm <= zero_norm).any():
+            return None
+        if k > N:
+            break
+        h = steps[k - 1]
+        if any_by_length:
+            np.divide(h, norm, out=h, where=by_length)
+        np.multiply(h[:, None], G, out=HG)
+        np.subtract(X, HG, out=X)
+        points[k] = X
+    return values, points, subgradients, pieces
+
+
 def run_lockstep(
     instances: Sequence[ProblemInstance], schedules: Sequence[StepSchedule], N: int
 ) -> list[RunTrace]:
@@ -211,17 +317,11 @@ def run_lockstep(
 
     The batch takes unit, unscripted whole-space instances: a
     ``PiecewiseOracle`` with B = R = 1.0 and no script, ``project_all`` and
-    a canonical start; shapes and schedules may differ.  A step makes
-    one gemv per trajectory, ``f.slopes.dot(x, out=row)`` into its row of a
-    buffer padded with pieces of intercept -inf, which are never active;
-    every other operation of ``plmax_query`` and of ``run``'s loop is one
-    numpy call over the batch, in the same order, so each trajectory keeps
-    its bits.  Row norms are the query's ``sqrt(row.dot(row))``, taken once
-    per piece by a stacked ``matmul`` of the rows with themselves, which
-    makes the same dot.  Any other batch runs through ``run``: one holding
-    an instance the batch does not take, or one in which some answer would
-    stop ``run`` early (a norm at or below ``ZERO_TOL * B`` before the final
-    query) or make it raise (a norm above B, no active piece).
+    a canonical start; shapes and schedules may differ.  They are stepped by
+    ``step_together``, the loop ``certify`` steps its chunks with, and each
+    trace holds copies of its trajectory's rows.  Any other batch runs
+    through ``run``: one holding an instance the batch does not take, or one
+    in which some answer would stop ``run`` early or make it raise.
     """
     N = _validate_horizon(N)
     if len(instances) != len(schedules):
@@ -230,7 +330,6 @@ def run_lockstep(
     def one_by_one() -> list[RunTrace]:
         return [run(p, schedule, N=N) for p, schedule in zip(instances, schedules)]
 
-    T = len(instances)
     pieces, starts = [], []
     for p, schedule in zip(instances, schedules):
         schedule.check_supports(N)
@@ -241,65 +340,20 @@ def run_lockstep(
             return one_by_one()
         pieces.append(o.pieces)
         starts.append(as_point(p.x_start, p.dimension))  # feasible under project_all
-    if T == 0:
+    if not instances:
         return []
 
-    M = max(f.slopes.shape[0] for f in pieces)
-    D = max(f.slopes.shape[1] for f in pieces)
-    slopes = np.zeros((T, M, D))
-    norms = np.zeros((T, M))
-    intercepts = np.full((T, M), -np.inf)
-    steps = np.empty((N, T))  # rule(k, B, R); a by-length step is divided when taken
-    X = np.zeros((T, D))
-    V = np.zeros((T, M))  # padding: 0, then -inf once the intercepts are added
-    gemvs = []
-    for t, (p, schedule, f, x) in enumerate(zip(instances, schedules, pieces, starts)):
-        m, d = f.slopes.shape
-        slopes[t, :m, :d] = f.slopes
-        norms[t, :m] = np.sqrt(np.matmul(f.slopes[:, None, :], f.slopes[:, :, None]))[:, 0, 0]
-        intercepts[t, :m] = f.intercepts
-        steps[:, t] = [schedule.rule(k, p.B, p.R) for k in range(1, N + 1)]
-        X[t, :d] = x
-        gemvs.append((f.slopes.dot, X[t, :d], V[t, :m]))
-    real = intercepts > -np.inf
+    batch = PieceBatch([f.slopes for f in pieces], [f.intercepts for f in pieces])
+    X = np.zeros((len(starts), batch.slopes.shape[2]))
+    for x, row in zip(starts, X):
+        row[: len(x)] = x
     B = np.array([p.B for p in instances])
-    max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
+    steps = planned_steps(schedules, B, [p.R for p in instances], N)
     by_length = np.array([schedule.by_length for schedule in schedules])
-    any_by_length = bool(by_length.any())
-
-    ar = np.arange(T)
-    active = np.zeros((T, M), dtype=bool)
-    active_reversed = active[:, ::-1]
-    HG = np.empty((T, D))
-
-    values = np.empty((N + 1, T))
-    points = np.empty((N + 1, T, D))
-    subgradients = np.empty((N + 1, T, D))
-    points[0] = X
-
-    for k in range(1, N + 2):  # N steps, then the final query at N + 1
-        # plmax_query's answer at iteration k for every trajectory
-        for dot, x, out in gemvs:
-            dot(x, out=out)  # the gemv of `@`, without the ufunc
-        np.add(V, intercepts, out=V)
-        fmax = np.maximum.reduce(V, axis=1, out=values[k - 1])
-        thr = core.active_threshold(fmax)
-        if np.isnan(thr).any():  # a NaN or +inf maximum: `run` raises
-            return one_by_one()
-        np.greater_equal(V, thr[:, None], out=active, where=real)
-        piece = (M - 1) - active_reversed.argmax(axis=1)  # the highest active piece
-        G = subgradients[k - 1] = slopes[ar, piece]
-        norm = norms[ar, piece]
-        if (norm > max_norm).any() or k <= N and (norm <= zero_norm).any():
-            return one_by_one()  # `run` pads the stopped traces and raises the first error
-        if k > N:
-            break
-        h = steps[k - 1]
-        if any_by_length:
-            np.divide(h, norm, out=h, where=by_length)
-        np.multiply(h[:, None], G, out=HG)
-        np.subtract(X, HG, out=X)
-        points[k] = X
+    stepped = step_together(batch, X, steps, by_length, B, N)
+    if stepped is None:
+        return one_by_one()  # `run` pads the stopped traces and raises the first error
+    values, points, subgradients, _ = stepped
 
     # copies of each trajectory's rows; a batch of one keeps the buffers themselves
     own = np.ascontiguousarray
@@ -307,11 +361,11 @@ def run_lockstep(
         RunTrace(
             values=own(values[:, t]),
             steps=own(steps[:, t]),
-            points=own(points[:, t, : f.dimension]),
-            subgradients=own(subgradients[:, t, : f.dimension]),
+            points=own(points[:, t, :d]),
+            subgradients=own(subgradients[:, t, :d]),
             terminated_early=False,
         )
-        for t, f in enumerate(pieces)
+        for t, d in enumerate(batch.dims)
     ]
 
 

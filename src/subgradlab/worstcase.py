@@ -205,6 +205,26 @@ def two_step_worst_long(h2: float, scripted: bool = True) -> ProblemInstance:
     )
 
 
+def random_pieces(
+    dimension: int, directions: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``random_instance``'s draws from ``rng``, in its order: the unit slopes,
+    a contiguous (2 directions, dimension) array holding the drawn rows and
+    then their antipodes, and the unit start point."""
+    while True:
+        drawn = rng.standard_normal((directions, dimension))
+        # np.linalg.norm's own formula for row norms, without its wrapper
+        norms = np.sqrt(np.add.reduce(drawn * drawn, axis=1))
+        if not (norms < 1e-12).any():  # essentially impossible, but cheap to guard
+            break
+    slopes = np.empty((2 * directions, dimension))
+    np.divide(drawn, norms[:, None], out=slopes[:directions])
+    np.negative(slopes[:directions], out=slopes[directions:])
+    x_start = rng.standard_normal(dimension)
+    x_start /= math.sqrt(x_start.dot(x_start))
+    return slopes, x_start
+
+
 def random_instance(
     dimension: int, directions: int, seed=0
 ) -> ProblemInstance:
@@ -214,27 +234,16 @@ def random_instance(
     origin lies in the convex hull of the slopes and is a genuine minimizer
     with f_star = 0.  The start point is a random unit vector, giving
     B = R = 1 by construction.  ``seed`` may be anything accepted by
-    ``numpy.random.default_rng``, including an existing generator.
+    ``numpy.random.default_rng``, including an existing generator.  The
+    draws are :func:`random_pieces`.
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if directions < 1:
         raise ValueError(f"need at least one direction, got {directions}")
-    rng = np.random.default_rng(seed)
-    while True:
-        slopes = rng.standard_normal((directions, dimension))
-        # np.linalg.norm's own formula for row norms, without its wrapper
-        norms = np.sqrt(np.add.reduce(slopes * slopes, axis=1))
-        if not (norms < 1e-12).any():  # essentially impossible, but cheap to guard
-            break
-    slopes /= norms[:, None]
-    x_start = rng.standard_normal(dimension)
-    x_start /= math.sqrt(x_start.dot(x_start))
-    pieces = PiecewiseLinearMax(
-        slopes=np.concatenate((slopes, -slopes)), intercepts=np.zeros(2 * directions)
-    )
+    slopes, x_start = random_pieces(dimension, directions, np.random.default_rng(seed))
     return instance_from_pieces(
-        pieces,
+        PiecewiseLinearMax(slopes, np.zeros(2 * directions)),
         f_star=0.0,
         x_star=np.zeros(dimension),
         x_start=x_start,

@@ -24,6 +24,7 @@ from subgradlab import (
     scale_instance,
     verify_lemma,
 )
+from subgradlab import cli, solver
 from subgradlab.cli import _METHODS
 from subgradlab.sequences import s
 from subgradlab.worstcase import abs_instance, random_instance
@@ -285,3 +286,80 @@ def test_lemma_matches_reference_formulas_bit_for_bit():
         got = [x.hex() for x in verify_lemma(trace, p, w, x_hat)]
         assert got == [x.hex() for x in _reference_lemma(trace, p, w, x_hat)], trial
     assert early >= 20
+
+
+# --- certify's chunk check against verify_lemma, and the layouts it relies on --------
+
+
+def _chunk_dims(seed, trials):
+    return {int(np.random.default_rng([seed, t]).integers(2, 9)) for t in trials}
+
+
+@pytest.mark.parametrize("N", [1, 7, 8, 20, 100])
+def test_chunk_slacks_are_verify_lemma_bit_for_bit(N):
+    """A chunk drawn, stepped and checked as arrays gives every trial the
+    slack of random_instance, run_lockstep and verify_lemma, to the bit."""
+    trials = range(3, 3 + (40 if N == 100 else 120))
+    assert _chunk_dims(5, trials) == set(range(2, 9))  # every dimension certify draws
+    chunk = cli._certify_chunk(5, trials, N, False)
+    assert chunk is not None
+    one_by_one = cli._certify_trials(5, trials, N, False)
+    assert [s.hex() for s in chunk] == [s.hex() for s in one_by_one]
+
+
+def test_trial_major_sums_match_the_1d_sum():
+    """Sums along the contiguous last axis of a (T, n) array add in the 1-D
+    order; along axis 0 of the (n, T) lock-step layout they do not from
+    n = 8 on, so the lemma's sums run over trial-major rows."""
+    rng = np.random.default_rng(0)
+    for n in (2, 7, 8, 9, 21, 101, 300):
+        a = rng.standard_normal((50, n))
+        one_d = [np.add.reduce(row).hex() for row in a]
+        assert [x.hex() for x in np.add.reduce(a, axis=1)] == one_d
+        by_column = [x.hex() for x in np.add.reduce(np.ascontiguousarray(a.T), axis=0)]
+        if n >= 8:
+            assert by_column != one_d, n
+
+
+def test_padded_sums_of_squares_keep_their_bits_by_dimension():
+    """Zero padding to 8 changes a sum of 4 to 7 squares, so the chunk sums
+    each dimension on its own rows; a cumulative sum is the same in any
+    layout."""
+    rng = np.random.default_rng(1)
+    dims = rng.integers(2, 9, 2000)
+    padded = np.zeros((2000, 8))
+    for row, d in zip(padded, dims):
+        row[:d] = rng.standard_normal(d)
+    one_d = [np.add.reduce(row[:d] * row[:d]).hex() for row, d in zip(padded, dims)]
+    assert [x.hex() for x in cli._sums_of_squares(padded, dims)] == one_d
+    naive = [x.hex() for x in np.add.reduce(padded * padded, axis=1)]
+    for d in range(4, 8):
+        assert any(a != b for a, b, dd in zip(naive, one_d, dims) if dd == d), d
+    h = rng.uniform(0.05, 1.0, (30, 21))
+    expected = [row[::-1].cumsum()[::-1] for row in h]
+    assert np.array_equal(h[:, ::-1].cumsum(axis=1)[:, ::-1], expected)
+    assert np.array_equal(np.ascontiguousarray(h.T)[::-1].cumsum(axis=0)[::-1].T, expected)
+
+
+@pytest.mark.parametrize("N", [1, 8, 20])
+def test_gathered_squared_norms_are_the_rows_sums(N):
+    """||g^k||^2 for k <= N is the per-piece sum np.add.reduce(S * S, axis=1)
+    of the piece the answer chose, whose root is slope_norms."""
+    instances = [random_instance(d, 1 + d % 5, seed=d) for d in range(2, 9)]
+    schedules = [_METHODS["constant"].schedule(N, 0.3)] * len(instances)
+    slopes = [p.oracle.pieces.slopes for p in instances]
+    batch = solver.PieceBatch(slopes, [p.oracle.pieces.intercepts for p in instances])
+    X = np.zeros((len(instances), 8))
+    for row, p in zip(X, instances):
+        row[: p.dimension] = p.x_start
+    ones = np.ones(len(instances))
+    steps = solver.planned_steps(schedules, ones, ones, N)
+    _, _, subgradients, pieces = solver.step_together(
+        batch, X, steps, np.zeros(len(instances), dtype=bool), ones, N
+    )
+    sq = cli._sums_of_squares(batch.slopes, batch.dims)
+    for t, p in enumerate(instances):
+        m, d = p.oracle.pieces.slopes.shape
+        assert np.array_equal(np.sqrt(sq[t, :m]), p.oracle.pieces.slope_norms)
+        g = subgradients[:N, t, :d]
+        assert np.array_equal(sq[t, pieces[:N, t]], np.add.reduce(g * g, axis=1))

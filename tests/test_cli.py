@@ -8,7 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subgradlab import WeightSequence, cli, random_instance, run, verify_lemma
+from subgradlab import (
+    WeightSequence, cli, constant_length_rate, core, random_instance, run, verify_lemma,
+    worstcase,
+)
 from subgradlab.certify import LemmaCheck
 from subgradlab.cli import COLUMNS, SWEEP_COLUMNS, main
 
@@ -325,10 +328,29 @@ def test_violated_bound_exits_one_and_still_writes_rows(
     assert all(float(row["slack"]) < -1e-9 for row in rows)
 
 
-def test_certify_violation_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli.certify_mod, "verify_lemma", lambda *args: LemmaCheck(1.0, 0.0, -1.0)
+@pytest.mark.parametrize("B, R", [(1.0, 1.0), (2.0, 0.5)])
+def test_length_worstcase_sweep_attains_the_rate(capsys, B, R):
+    """Above the knee a length run follows the long-step script, so every
+    cell's last gap is B R constant_length_rate(N, t) to 1e-9 B R."""
+    code, out, err = invoke(
+        capsys, "sweep", "--instance", "worstcase", "--method", "length",
+        "--N-list", "1,5,50,150", "--h-grid", "0.02:0.6:0.02", "--B", str(B), "--R", str(R),
     )
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert len(rows) == 120
+    for row in (dict(zip(header, r)) for r in rows):
+        gap, rate = float(row["last_gap"]), float(row["bound_last"])
+        assert abs(gap - rate) <= 1e-9 * B * R, row
+        assert rate == B * R * constant_length_rate(int(row["N"]), float(row["h"]))
+
+
+def test_certify_violation_exits_one(capsys, monkeypatch):
+    # every trial's lemma, in a chunk or through verify_lemma, is a row of lemma_rows
+    def violated(steps, h_last, *rest):
+        return LemmaCheck(*(np.full(len(h_last), side) for side in (1.0, 0.0, -1.0)))
+
+    monkeypatch.setattr(cli.certify_mod, "lemma_rows", violated)
     code, out, _ = invoke(capsys, "certify", "--trials", "3", "--N", "2", "--seed", "1")
     assert code == 1
     violations = [line for line in out.splitlines() if line.startswith("VIOLATION:")]
@@ -509,6 +531,68 @@ def test_certify_lockstep_replays_across_chunks(capsys, N):
                           "--seed", "7")
     assert code == 0
     assert out == _certify_trial_by_trial(trials, N, 7)
+
+
+def test_certify_hands_a_chunk_with_a_failing_trial_to_the_trial_by_trial_path(
+    capsys, monkeypatch
+):
+    """A NaN maximum in one trial of the second chunk, which would make run
+    raise, sends that chunk through random_instance, run_lockstep and
+    verify_lemma; the output is still the trial-by-trial loop's."""
+    N = 5
+    chunk = cli._chunk_trials(N)
+    threshold, chunk_path, trial_path = core.active_threshold, cli._certify_chunk, cli._certify_trials
+    armed, handed = [], []
+
+    def nan_in_trial_4(fmax):
+        thr = threshold(fmax)
+        if armed and np.ndim(thr) == 1:
+            armed.clear()
+            thr[4] = np.nan
+        return thr
+
+    def arm_the_second_chunk(seed, trials, *rest):
+        if trials.start == chunk:
+            armed.append(True)
+        return chunk_path(seed, trials, *rest)
+
+    def spy(seed, trials, *rest):
+        handed.append(trials)
+        return trial_path(seed, trials, *rest)
+
+    monkeypatch.setattr(core, "active_threshold", nan_in_trial_4)
+    monkeypatch.setattr(cli, "_certify_chunk", arm_the_second_chunk)
+    monkeypatch.setattr(cli, "_certify_trials", spy)
+    code, out, err = invoke(capsys, "certify", "--trials", str(2 * chunk + 3), "--N", str(N),
+                            "--seed", "7")
+    assert (code, err) == (0, "")
+    assert handed == [range(chunk, 2 * chunk)] and not armed
+    assert out == _certify_trial_by_trial(2 * chunk + 3, N, 7)
+
+
+@pytest.mark.parametrize("bad", [{2: (2.0, 1.0)}, {2: (1.0, 3.0)}, {5: (2.0, 1.0), 3: (1.0, 3.0)}])
+def test_certify_chunk_raises_the_instance_error_of_the_trial_path(monkeypatch, bad):
+    """Pieces or a start scaled past the declared B or R fail the chunk's
+    instance check with random_instance's error for the first such trial."""
+    draw = worstcase.random_pieces
+    calls = []
+
+    def scaled(*args):
+        slopes, x = draw(*args)
+        a, b = bad.get(len(calls), (1.0, 1.0))
+        calls.append(None)
+        return a * slopes, b * x
+
+    monkeypatch.setattr(worstcase, "random_pieces", scaled)
+    errors = []
+    for path in (cli._certify_chunk, cli._certify_trials):
+        calls.clear()
+        with pytest.raises(ValueError) as exc:
+            path(3, range(10), 5, False)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    slopes_scale, _ = bad[min(bad)]
+    assert f"exceeds declared {'B' if slopes_scale != 1.0 else 'R'}=1.0" in errors[0]
 
 
 def test_certify_lockstep_rejects_nonmonotone_weights_before_printing(capsys):

@@ -16,12 +16,16 @@ float result must sit within a stated relative error of it:
 * ``best_iterate_bound`` on realized steps: 16 (N + 1) units of 2^-52,
   on the golden long-step sweep, at (B, R) as far apart as 1e100 and
   1e-100, where squaring h_k alone under- or overflowed, and at steps of
-  1e308, where (B h_k)^2 and the sum of the steps overflowed.
+  1e308, where (B h_k)^2 and the sum of the steps overflowed;
+* both sides of ``verify_lemma`` against ``Fraction`` arithmetic on the same
+  float inputs, on the instances where the inequality is an equality: the
+  float slack within 8 u sum|terms| (u = 2^-53) of the exact one and of 0.
 """
 
 import csv
 import decimal
 from decimal import Decimal
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -32,16 +36,20 @@ from subgradlab import (
     StepSchedule,
     best_iterate_bound,
     constant_step_rate,
+    constant_step_weights,
     iter_s,
     last_gap,
+    matching_alpha,
     optimal_constant_step,
     run,
     s,
     scale_instance,
     tightness_report,
+    verify_lemma,
 )
 from subgradlab.rates import TWO_STEP_KNEE, knee
 from subgradlab.worstcase import (
+    abs_instance,
     long_step_instance,
     random_instance,
     two_step_schedule,
@@ -137,6 +145,20 @@ def test_worst_cases_attain_the_exact_rate(exact_s):
             assert err < 16 * (N + 1) * max(1.0, h) * EPS, (N, h, err)
 
 
+def test_length_worst_cases_attain_the_exact_rate(exact_s):
+    """Steps of constant length t on the instance ``sweep --instance worstcase
+    --method length`` builds: |x| at or below the knee, the scripted
+    long-step instance past it."""
+    for N in [N for N in N_VALUES if N <= 200]:
+        with decimal.localcontext(CONTEXT):
+            s2 = exact_s[N] ** 2
+        for t in TIGHT_H:
+            p = abs_instance() if t <= knee(N) else long_step_instance(N, t)
+            gap = last_gap(run(p, StepSchedule.constant_length(t), N=N), p)
+            err = rel_err(gap, exact_rate(s2, N, t))
+            assert err < 16 * (N + 1) * max(1.0, t) * EPS, (N, t, err)
+
+
 def test_two_step_worst_cases_attain_the_exact_gap():
     for h2 in H2_VALUES:
         make = two_step_worst_small if h2 <= TWO_STEP_KNEE else two_step_worst_long
@@ -168,7 +190,7 @@ def test_best_iterate_bound_golden_rows_against_exact():
     assert rows
     for row in rows:
         N, t, B, R = int(row["N"]), float(row["h"]), float(row["B"]), float(row["R"])
-        p = scale_instance(long_step_instance(N, t, scripted=False), B, R)
+        p = scale_instance(long_step_instance(N, t), B, R)  # scripted, as the CLI builds it
         h = _extended_steps(p, StepSchedule.constant_length(t), N)
         bound = best_iterate_bound(h, B, R)
         assert bound == float(row["bound_best"]), row
@@ -205,3 +227,50 @@ def test_best_iterate_bound_at_extreme_steps(h, B, R):
     steps = [h] * 6
     err = rel_err(best_iterate_bound(steps, B, R), exact_best_iterate_bound(steps, B, R))
     assert err < 16 * 6 * EPS, err
+
+
+def exact_lemma(trace, w, x_hat, f_hat):
+    """``verify_lemma``'s lhs and rhs in ``Fraction`` arithmetic on its float
+    inputs, and the sum of the absolute values of their terms: for each k,
+    |f(x^k) - f_hat| (h_k v_k^2 + |v_k - v_{k-1}| sum_{i>=k} h_i v_i), and
+    each term of the right side."""
+    F = Fraction
+    h = [F(x) for x in trace.steps] + [F(w.h_last)]
+    v = [F(x) for x in w.v]
+    n = len(h)
+    suffix = [F(0)] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + h[k] * v[k + 1]
+    gaps = [F(x) - F(f_hat) for x in trace.values]
+    lhs = sum(((h[k] * v[k + 1] ** 2 - (v[k + 1] - v[k]) * suffix[k]) * gaps[k]
+               for k in range(n)), F(0))
+    g2 = [sum((F(a) ** 2 for a in row), F(0)) for row in trace.subgradients]
+    d2 = sum(((F(a) - F(b)) ** 2 for a, b in zip(trace.points[0], x_hat)), F(0))
+    right = [v[0] ** 2 * d2 / 2] + [h[k] ** 2 * v[k + 1] ** 2 * g2[k] / 2 for k in range(n)]
+    size = sum(abs(gaps[k]) * (h[k] * v[k + 1] ** 2 + abs(v[k + 1] - v[k]) * suffix[k])
+               for k in range(n)) + sum(right)
+    return lhs, sum(right, F(0)), size
+
+
+@pytest.mark.parametrize(
+    "family, N, h",
+    [("abs", 5, 0.05), ("abs", 20, 0.01), ("abs", 50, 0.005), ("abs", 200, 0.002),
+     ("longstep", 5, 0.3), ("longstep", 20, 0.2), ("longstep", 50, 0.3), ("longstep", 150, 0.5)],
+)
+def test_lemma_is_an_equality_where_the_rate_is_tight(family, N, h):
+    """On |x| with the matching-seed weights and on the long-step instance
+    with alpha = 1, c_1 .. c_N vanish and the inequality holds with equality,
+    so a wrong or missing term shows as slack: the float slack must lie
+    within 8 u sum|terms| of the exact slack on the same inputs and of 0
+    (measured: at most 0.8 u sum|terms| here)."""
+    if family == "abs":
+        p, w = abs_instance(), constant_step_weights(N, matching_alpha(N, h), h)
+    else:
+        p, w = long_step_instance(N, h), constant_step_weights(N, 1.0, h)
+    trace = run(p, StepSchedule.constant_normalized(h), N=N)
+    check = verify_lemma(trace, p, w, p.x_star)
+    lhs, rhs, size = exact_lemma(trace, w, p.x_star, p.evaluate(p.x_star).value)
+    budget = 8 * (EPS / 2) * float(size)
+    assert abs(check.lhs - lhs) <= budget and abs(check.rhs - rhs) <= budget
+    assert abs(check.slack - float(rhs - lhs)) <= budget
+    assert abs(check.slack) <= budget, (check.slack, budget)
