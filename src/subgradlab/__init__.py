@@ -75,7 +75,6 @@ from .solver import (
     best_iterate_bound,
     last_gap,
     run,
-    run_lockstep,
 )
 from .worstcase import (
     abs_instance,
@@ -139,7 +138,6 @@ __all__ = [
     "random_instance",
     "recursive_weights",
     "run",
-    "run_lockstep",
     "s",
     "s_bounds",
     "s_identity_check",

@@ -338,11 +338,13 @@ def _draw(seed: int, trial: int, N: int, build: Callable) -> tuple:
 
 
 def _certify_trials(seed: int, trials: range, N: int, reverse: bool) -> list[float]:
-    """The slacks of ``trials`` through ``random_instance``, ``run_lockstep``,
+    """The slacks of ``trials`` through ``random_instance``, ``run``,
     ``WeightSequence`` and ``verify_lemma``: the path of a chunk that
-    ``_certify_chunk`` hands back, which raises each error in trial order."""
+    ``_certify_chunk`` hands back.  Every trial runs before any is checked,
+    so a run error comes first, then a weight or x_hat error, each for the
+    first trial that has one."""
     drawn = [_draw(seed, trial, N, worstcase.random_instance) for trial in trials]
-    traces = solver.run_lockstep([d[1] for d in drawn], [d[2] for d in drawn], N)
+    traces = [solver.run(p, schedule, N=N) for _, p, schedule, *_ in drawn]
     slacks = []
     for (_, p, _, v, h_last, x_hat), trace in zip(drawn, traces):
         v = np.sort(v)
@@ -411,10 +413,9 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> list[floa
     sq = _sums_of_squares(batch.slopes, dims)  # slope_norms ** 2, bit for bit
     core.check_bounds(np.sqrt(sq).max(axis=1), dist, 1.0, 1.0)
 
-    ones = np.ones(T)
-    steps = solver.planned_steps(schedules, ones, ones, N)
+    steps = solver.planned_steps(schedules, N)
     by_length = np.array([schedule.by_length for schedule in schedules])
-    stepped = solver.step_together(batch, X, steps, by_length, ones, N)
+    stepped = solver.step_together(batch, X, steps, by_length, N)
     if stepped is None:
         return None
     values, points, subgradients, pieces = stepped
@@ -424,8 +425,7 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> list[floa
     if not np.isfinite(x_hat).all() or (core.project_all(x_hat) - x_hat).any():
         return None
     f_hat = np.empty(T)
-    piece = batch.answer(batch.gemvs(x_hat), f_hat)
-    if piece is None or (batch.norms[batch.ar, piece] > 1.0 * (1.0 + 1e-12)).any():  # B = 1
+    if batch.answer(batch.gemvs(x_hat), f_hat) is None:
         return None
     certify_mod.check_weight_rows(v, h_last)
 
@@ -444,7 +444,7 @@ def _cmd_certify(args) -> int:
     N = rates._validate_horizon(args.N)
     seed = _check_seed(args.seed)
 
-    min_slack = math.inf
+    min_slack = least = math.inf
     min_trial = -1
     violations: list[tuple[int, float]] = []
     chunk = _chunk_trials(N)
@@ -454,10 +454,11 @@ def _cmd_certify(args) -> int:
         if slacks is None:
             slacks = _certify_trials(seed, trials, N, args.force_nonmonotone)
         for trial, slack in zip(trials, slacks):
-            if slack < min_slack:
-                min_slack = slack
-                min_trial = trial
-            if slack < SLACK_FLOOR:
+            # a NaN slack shows no bound holds: it counts as the least, and fails
+            key = -math.inf if math.isnan(slack) else slack
+            if key < least:
+                least, min_slack, min_trial = key, slack, trial
+            if not slack >= SLACK_FLOOR:
                 violations.append((trial, slack))
 
     print(f"certify trials={args.trials} N={N} seed={args.seed}")

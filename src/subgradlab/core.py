@@ -208,7 +208,7 @@ def eval_plmax(
 @dataclass(frozen=True)
 class PiecewiseOracle:
     """The oracle of B * R * f(x / R) for the pieces f, read field by field
-    by ``run``, ``run_lockstep`` and ``scale_instance``: a call returns
+    by ``run`` and ``scale_instance``: a call returns
     ``eval_plmax(pieces, x, k, B=B, R=R)``.  A unit scale is 1.0."""
 
     pieces: PiecewiseLinearMax

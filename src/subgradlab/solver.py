@@ -244,7 +244,8 @@ class PieceBatch:
     def answer(self, gemvs: list, fmax: np.ndarray) -> np.ndarray | None:
         """The query's answer for every trajectory at the points ``gemvs``
         reads: the maximum into ``fmax`` and the index of the highest active
-        piece, or None when some maximum is NaN or +inf (``run`` raises)."""
+        piece, or None when ``run`` would raise on some answer: a maximum
+        that is NaN or +inf, or a chosen piece of norm above B = 1."""
         for dot, x, out in gemvs:
             dot(x, out=out)  # the gemv of `@`, without the ufunc
         np.add(self.V, self.intercepts, out=self.V)
@@ -253,33 +254,35 @@ class PieceBatch:
         if np.isnan(thr).any():
             return None
         np.greater_equal(self.V, thr[:, None], out=self.active, where=self.real)
-        return (self.V.shape[1] - 1) - self.active[:, ::-1].argmax(axis=1)
+        piece = (self.V.shape[1] - 1) - self.active[:, ::-1].argmax(axis=1)
+        if (self.norms[self.ar, piece] > 1.0 + 1e-12).any():  # run's B (1 + 1e-12) at B = 1
+            return None
+        return piece
 
 
-def planned_steps(schedules: Sequence[StepSchedule], B, R, N: int) -> np.ndarray:
-    """(N, T): ``rule(k, B, R)`` of each schedule; a by-length step is
-    divided by the norm when it is taken."""
+def planned_steps(schedules: Sequence[StepSchedule], N: int) -> np.ndarray:
+    """(N, T): ``rule(k, 1.0, 1.0)`` of each schedule, its steps on a unit
+    instance; a by-length step is divided by the norm when it is taken."""
     steps = np.empty((N, len(schedules)))
-    for t, (schedule, b, r) in enumerate(zip(schedules, B, R)):
-        steps[:, t] = [schedule.rule(k, b, r) for k in range(1, N + 1)]
+    for t, schedule in enumerate(schedules):
+        steps[:, t] = [schedule.rule(k, 1.0, 1.0) for k in range(1, N + 1)]
     return steps
 
 
-def step_together(
-    batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length: np.ndarray, B: np.ndarray, N: int
-):
-    """The lock-step loop: ``run``'s N steps and final query for every
-    trajectory of ``batch`` from the points X (T, D), which it moves, with
-    the planned ``steps`` (N, T), which it turns into the realized ones.
+def step_together(batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length: np.ndarray, N: int):
+    """The lock-step loop of certify's chunk: ``run``'s N steps and final
+    query for every trajectory of ``batch`` from the points X (T, D), which
+    it moves, with the planned ``steps`` (N, T), which it turns into the
+    realized ones.  The instances are unit (B = R = 1), unscripted and on
+    the whole space.
 
     Returns ``(values, points, subgradients, pieces)``, arrays of N + 1 rows
     over the trajectories, ``pieces`` holding the index of the piece each
-    answer chose; or None when some answer would make ``run`` raise (a norm
-    above B, no active piece) or, before the final query, stop early (a
-    norm at or below ``ZERO_TOL * B``).
+    answer chose; or None when some answer would make ``run`` raise (see
+    ``PieceBatch.answer``) or, before the final query, stop early (a norm
+    at or below ``ZERO_TOL``).
     """
     T, D = X.shape
-    max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
     any_by_length = bool(by_length.any())
     HG = np.empty((T, D))
     values = np.empty((N + 1, T))
@@ -295,11 +298,11 @@ def step_together(
             return None
         pieces[k - 1] = piece
         G = subgradients[k - 1] = batch.slopes[batch.ar, piece]
-        norm = batch.norms[batch.ar, piece]
-        if (norm > max_norm).any() or k <= N and (norm <= zero_norm).any():
-            return None
         if k > N:
             break
+        norm = batch.norms[batch.ar, piece]
+        if (norm <= ZERO_TOL).any():
+            return None
         h = steps[k - 1]
         if any_by_length:
             np.divide(h, norm, out=h, where=by_length)
@@ -307,66 +310,6 @@ def step_together(
         np.subtract(X, HG, out=X)
         points[k] = X
     return values, points, subgradients, pieces
-
-
-def run_lockstep(
-    instances: Sequence[ProblemInstance], schedules: Sequence[StepSchedule], N: int
-) -> list[RunTrace]:
-    """``[run(p, s, N=N) for p, s in zip(instances, schedules)]``, bit for
-    bit, with the trajectories stepped together when the batch takes them.
-
-    The batch takes unit, unscripted whole-space instances: a
-    ``PiecewiseOracle`` with B = R = 1.0 and no script, ``project_all`` and
-    a canonical start; shapes and schedules may differ.  They are stepped by
-    ``step_together``, the loop ``certify`` steps its chunks with, and each
-    trace holds copies of its trajectory's rows.  Any other batch runs
-    through ``run``: one holding an instance the batch does not take, or one
-    in which some answer would stop ``run`` early or make it raise.
-    """
-    N = _validate_horizon(N)
-    if len(instances) != len(schedules):
-        raise IncompatibleLength(f"{len(instances)} instances vs {len(schedules)} schedules")
-
-    def one_by_one() -> list[RunTrace]:
-        return [run(p, schedule, N=N) for p, schedule in zip(instances, schedules)]
-
-    pieces, starts = [], []
-    for p, schedule in zip(instances, schedules):
-        schedule.check_supports(N)
-        o = p.oracle
-        if not (isinstance(o, core.PiecewiseOracle) and o.B == o.R == 1.0) or (
-            o.pieces.scripted_choices or p.projection is not core.project_all or p.x_start is None
-        ):
-            return one_by_one()
-        pieces.append(o.pieces)
-        starts.append(as_point(p.x_start, p.dimension))  # feasible under project_all
-    if not instances:
-        return []
-
-    batch = PieceBatch([f.slopes for f in pieces], [f.intercepts for f in pieces])
-    X = np.zeros((len(starts), batch.slopes.shape[2]))
-    for x, row in zip(starts, X):
-        row[: len(x)] = x
-    B = np.array([p.B for p in instances])
-    steps = planned_steps(schedules, B, [p.R for p in instances], N)
-    by_length = np.array([schedule.by_length for schedule in schedules])
-    stepped = step_together(batch, X, steps, by_length, B, N)
-    if stepped is None:
-        return one_by_one()  # `run` pads the stopped traces and raises the first error
-    values, points, subgradients, _ = stepped
-
-    # copies of each trajectory's rows; a batch of one keeps the buffers themselves
-    own = np.ascontiguousarray
-    return [
-        RunTrace(
-            values=own(values[:, t]),
-            steps=own(steps[:, t]),
-            points=own(points[:, t, :d]),
-            subgradients=own(subgradients[:, t, :d]),
-            terminated_early=False,
-        )
-        for t, d in enumerate(batch.dims)
-    ]
 
 
 def _settle_gap(raw: float, p: ProblemInstance) -> float:

@@ -298,7 +298,7 @@ def _chunk_dims(seed, trials):
 @pytest.mark.parametrize("N", [1, 7, 8, 20, 100])
 def test_chunk_slacks_are_verify_lemma_bit_for_bit(N):
     """A chunk drawn, stepped and checked as arrays gives every trial the
-    slack of random_instance, run_lockstep and verify_lemma, to the bit."""
+    slack of random_instance, run and verify_lemma, to the bit."""
     trials = range(3, 3 + (40 if N == 100 else 120))
     assert _chunk_dims(5, trials) == set(range(2, 9))  # every dimension certify draws
     chunk = cli._certify_chunk(5, trials, N, False)
@@ -352,10 +352,9 @@ def test_gathered_squared_norms_are_the_rows_sums(N):
     X = np.zeros((len(instances), 8))
     for row, p in zip(X, instances):
         row[: p.dimension] = p.x_start
-    ones = np.ones(len(instances))
-    steps = solver.planned_steps(schedules, ones, ones, N)
+    steps = solver.planned_steps(schedules, N)
     _, _, subgradients, pieces = solver.step_together(
-        batch, X, steps, np.zeros(len(instances), dtype=bool), ones, N
+        batch, X, steps, np.zeros(len(instances), dtype=bool), N
     )
     sq = cli._sums_of_squares(batch.slopes, batch.dims)
     for t, p in enumerate(instances):

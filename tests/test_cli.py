@@ -346,18 +346,38 @@ def test_length_worstcase_sweep_attains_the_rate(capsys, B, R):
 
 
 def test_certify_violation_exits_one(capsys, monkeypatch):
-    # every trial's lemma, in a chunk or through verify_lemma, is a row of lemma_rows
-    def violated(steps, h_last, *rest):
-        return LemmaCheck(*(np.full(len(h_last), side) for side in (1.0, 0.0, -1.0)))
+    # every trial's lemma, in a chunk or through verify_lemma, is a row of
+    # lemma_rows; a NaN slack counts as the least, and as a violation
+    for rhs in (0.0, math.nan):
+        def violated(steps, h_last, *rest):
+            return LemmaCheck(*(np.full(len(h_last), side) for side in (1.0, rhs, rhs - 1.0)))
 
-    monkeypatch.setattr(cli.certify_mod, "lemma_rows", violated)
-    code, out, _ = invoke(capsys, "certify", "--trials", "3", "--N", "2", "--seed", "1")
+        monkeypatch.setattr(cli.certify_mod, "lemma_rows", violated)
+        code, out, _ = invoke(capsys, "certify", "--trials", "3", "--N", "2", "--seed", "1")
+        assert code == 1
+        assert f"min slack = {rhs - 1.0!r} (trial 0)" in out.splitlines()
+        violations = [line for line in out.splitlines() if line.startswith("VIOLATION:")]
+        assert violations == [
+            f"VIOLATION: trial {t} (seed [1, {t}]) slack = {rhs - 1.0!r}" for t in range(3)
+        ]
+        assert "OK:" not in out
+
+
+def test_certify_counts_one_nan_slack_as_the_least(capsys, monkeypatch):
+    rows = cli.certify_mod.lemma_rows
+
+    def nan_in_trial_6(steps, h_last, *rest):
+        check = rows(steps, h_last, *rest)
+        if len(h_last) > 6:  # the chunk; verify_lemma's rows are batches of one
+            check.slack[6] = math.nan
+        return check
+
+    monkeypatch.setattr(cli.certify_mod, "lemma_rows", nan_in_trial_6)
+    code, out, _ = invoke(capsys, "certify", "--trials", "10", "--N", "3", "--seed", "2")
     assert code == 1
-    violations = [line for line in out.splitlines() if line.startswith("VIOLATION:")]
-    assert violations == [
-        f"VIOLATION: trial {t} (seed [1, {t}]) slack = -1.0" for t in range(3)
+    assert out.splitlines()[1:] == [
+        "min slack = nan (trial 6)", "VIOLATION: trial 6 (seed [2, 6]) slack = nan"
     ]
-    assert "OK:" not in out
 
 
 def test_steps_file_roundtrip(tmp_path, capsys):
@@ -537,8 +557,8 @@ def test_certify_hands_a_chunk_with_a_failing_trial_to_the_trial_by_trial_path(
     capsys, monkeypatch
 ):
     """A NaN maximum in one trial of the second chunk, which would make run
-    raise, sends that chunk through random_instance, run_lockstep and
-    verify_lemma; the output is still the trial-by-trial loop's."""
+    raise, sends that chunk through random_instance, run and verify_lemma;
+    the output is still the trial-by-trial loop's."""
     N = 5
     chunk = cli._chunk_trials(N)
     threshold, chunk_path, trial_path = core.active_threshold, cli._certify_chunk, cli._certify_trials

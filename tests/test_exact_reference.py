@@ -17,6 +17,8 @@ float result must sit within a stated relative error of it:
   on the golden long-step sweep, at (B, R) as far apart as 1e100 and
   1e-100, where squaring h_k alone under- or overflowed, and at steps of
   1e308, where (B h_k)^2 and the sum of the steps overflowed;
+* the last gap of the optimal schedules and of a constant step on the
+  lower-bound witness against B R / sqrt(N + 1): 16 (N + 1) units of 2^-52;
 * both sides of ``verify_lemma`` against ``Fraction`` arithmetic on the same
   float inputs, on the instances where the inequality is an equality: the
   float slack within 8 u sum|terms| (u = 2^-53) of the exact one and of 0.
@@ -24,6 +26,7 @@ float result must sit within a stated relative error of it:
 
 import csv
 import decimal
+import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
@@ -33,14 +36,18 @@ import numpy as np
 import pytest
 
 from subgradlab import (
+    PiecewiseLinearMax,
     StepSchedule,
     best_iterate_bound,
     constant_step_rate,
     constant_step_weights,
+    instance_from_pieces,
     iter_s,
     last_gap,
     matching_alpha,
     optimal_constant_step,
+    optimal_step_weights,
+    project_ball,
     run,
     s,
     scale_instance,
@@ -168,6 +175,40 @@ def test_two_step_worst_cases_attain_the_exact_gap():
         assert err < 16 * EPS, (h2, err)
 
 
+def lower_bound_witness(N: int):
+    """f(x) = max_i x_i on the unit ball in R^(N+1), from x^1 = 0, with
+    x* = -1 / sqrt(N + 1) and f* = -1 / sqrt(N + 1) (Nesterov 2004,
+    Thm 3.2.1).  The oracle answers e_i for the last active coordinate i,
+    so after N steps along its answers x^(N+1) has a zero coordinate and
+    f(x^(N+1)) >= 0: the last gap is at least the optimal rate
+    1 / sqrt(N + 1)."""
+    n = N + 1
+    return instance_from_pieces(
+        PiecewiseLinearMax(np.eye(n), np.zeros(n)), f_star=-1.0 / math.sqrt(n),
+        x_star=-np.ones(n) / math.sqrt(n), x_start=np.zeros(n), B=1.0, R=1.0,
+        projection=project_ball(np.zeros(n), 1.0),
+    )
+
+
+@pytest.mark.parametrize("N", [1, 5, 50, 500])
+@pytest.mark.parametrize("B, R", [(1.0, 1.0), (2.0, 0.5), (1e3, 1e-3)])
+def test_the_lower_bound_is_attained(N, B, R):
+    """The optimal schedules, and a constant step, end exactly at the lower
+    bound B R / sqrt(N + 1) on the witness: the optimal rate is attained."""
+    p = scale_instance(lower_bound_witness(N), B, R)
+    with decimal.localcontext(CONTEXT):
+        exact = Decimal(B) * Decimal(R) / Decimal(N + 1).sqrt()
+    for schedule in (
+        StepSchedule.optimal_last_iterate(N),
+        StepSchedule.optimal_length(N),
+        StepSchedule.constant_normalized(0.1),
+    ):
+        trace = run(p, schedule, N=N)
+        assert not trace.terminated_early
+        err = rel_err(last_gap(trace, p), exact)
+        assert err <= 16 * (N + 1) * EPS, (schedule, err)
+
+
 def exact_best_iterate_bound(h, B: float, R: float) -> Decimal:
     """(R^2 + B^2 sum h_k^2) / (2 sum h_k) on the float inputs, at 50 digits."""
     with decimal.localcontext(CONTEXT):
@@ -255,19 +296,29 @@ def exact_lemma(trace, w, x_hat, f_hat):
 @pytest.mark.parametrize(
     "family, N, h",
     [("abs", 5, 0.05), ("abs", 20, 0.01), ("abs", 50, 0.005), ("abs", 200, 0.002),
-     ("longstep", 5, 0.3), ("longstep", 20, 0.2), ("longstep", 50, 0.3), ("longstep", 150, 0.5)],
+     ("longstep", 5, 0.3), ("longstep", 20, 0.2), ("longstep", 50, 0.3), ("longstep", 150, 0.5),
+     ("lowerbound", 1, None), ("lowerbound", 5, None), ("lowerbound", 20, None),
+     ("lowerbound", 50, None), ("lowerbound", 150, None)],
 )
 def test_lemma_is_an_equality_where_the_rate_is_tight(family, N, h):
-    """On |x| with the matching-seed weights and on the long-step instance
-    with alpha = 1, c_1 .. c_N vanish and the inequality holds with equality,
+    """On |x| with the matching-seed weights, on the long-step instance with
+    alpha = 1, and on the lower-bound witness with the optimal schedule and
+    its weights, c_1 .. c_N vanish and the inequality holds with equality,
     so a wrong or missing term shows as slack: the float slack must lie
     within 8 u sum|terms| of the exact slack on the same inputs and of 0
-    (measured: at most 0.8 u sum|terms| here)."""
+    (measured: at most 0.8 u sum|terms| on the first two families and
+    1.3 u sum|terms| on the witness)."""
     if family == "abs":
         p, w = abs_instance(), constant_step_weights(N, matching_alpha(N, h), h)
-    else:
+    elif family == "longstep":
         p, w = long_step_instance(N, h), constant_step_weights(N, 1.0, h)
-    trace = run(p, StepSchedule.constant_normalized(h), N=N)
+    else:
+        p, w = lower_bound_witness(N), optimal_step_weights(N)
+    if h is None:
+        schedule = StepSchedule.optimal_last_iterate(N)
+    else:
+        schedule = StepSchedule.constant_normalized(h)
+    trace = run(p, schedule, N=N)
     check = verify_lemma(trace, p, w, p.x_star)
     lhs, rhs, size = exact_lemma(trace, w, p.x_star, p.evaluate(p.x_star).value)
     budget = 8 * (EPS / 2) * float(size)

@@ -27,7 +27,6 @@ from subgradlab import (
     project_all,
     project_ball,
     run,
-    run_lockstep,
     scale_instance,
 )
 from subgradlab import solver
@@ -179,6 +178,12 @@ def test_infeasible_start_rejected():
     with pytest.raises(InfeasibleReference):
         run(ball, StepSchedule.constant_normalized(0.1), N=1, x1=np.array([2.0]))
     del p
+
+
+def test_run_needs_a_start():
+    p = replace(random_instance(3, 4, seed=6), x_start=None)
+    with pytest.raises(ValueError, match="instance has no canonical start"):
+        run(p, StepSchedule.constant_normalized(0.1), N=6)
 
 
 def test_projection_keeps_iterates_feasible():
@@ -408,6 +413,25 @@ def _hinge():
     )
 
 
+def _quiet_hinge(N):
+    """A hinge that stops at once on a slope of norm 1e-15, which a move
+    would not leave in place, scripted at the iterations it never queries."""
+    pieces = PiecewiseLinearMax(
+        slopes=np.array([[1e-15], [1.0]]), intercepts=np.array([0.0, -1.0]),
+        scripted_choices={k: 1 for k in range(2, N + 1)},
+    )
+    return instance_from_pieces(pieces, f_star=0.0, x_star=[0.5], x_start=[0.5], B=1.0, R=1.0)
+
+
+def _scripted_abs(k):
+    # |x| from x = 1 with steps of 0.1, scripted at iteration k to the piece
+    # -x, which is then 2 - 0.2 (k - 1) below the maximum
+    pieces = PiecewiseLinearMax(
+        slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2), scripted_choices={k: 1}
+    )
+    return instance_from_pieces(pieces, f_star=0.0, x_star=[0.0], x_start=[1.0], B=1.0, R=1.0)
+
+
 def _ball_scaled():
     unit = instance_from_pieces(
         PiecewiseLinearMax(np.eye(3), np.zeros(3)),
@@ -429,9 +453,11 @@ def _ball_scaled():
         (two_step_worst_long(0.3), 2, StepSchedule.custom([TWO_STEP_FIRST, 0.3]), False),
         (_ball_scaled(), 40, None, False),
         (_hinge(), 4, None, True),
+        (_quiet_hinge(4), 4, None, True),
+        (_scripted_abs(9), 6, None, False),  # scripted past the final query
     ],
     ids=["random", "random-B2-R3", "longstep", "two-step-small", "two-step-long",
-         "ball-B2-R3", "hinge"],
+         "ball-B2-R3", "hinge", "quiet-hinge", "script-past-N"],
 )
 def test_run_is_the_evaluate_loop_bit_for_bit(p, N, own, early):
     for schedule in _all_schedules(N) + ([own] if own else []):
@@ -468,14 +494,10 @@ def test_a_custom_oracle_runs_bit_equal_to_its_piecewise_instance(schedule):
 def test_a_partial_oracle_runs_bit_equal_to_its_piecewise_instance(schedule):
     """A hand-built ``partial(eval_plmax, f)`` is a custom oracle, which
     ``run`` queries once per answer: it gives the bits of the instance's own
-    ``PiecewiseOracle``, and a lock-step batch that holds it returns
-    ``run``'s traces."""
+    ``PiecewiseOracle``."""
     for p in (random_instance(4, 6, seed=7), long_step_instance(25, 0.3)):
         hand = replace(p, oracle=partial(eval_plmax, p.oracle.pieces))
         assert _bits(run(hand, schedule, N=25)) == _bits(run(p, schedule, N=25))
-        batch = [random_instance(3, 4, seed=1), hand, p]
-        traces = run_lockstep(batch, [schedule] * 3, 25)
-        assert [_bits(t) for t in traces] == [_bits(run(q, schedule, N=25)) for q in batch]
 
 
 def test_a_custom_oracle_above_B_raises_from_run():
@@ -510,79 +532,60 @@ def test_a_scripted_piece_inactive_mid_run_raises_from_run(B, R):
         run(p, StepSchedule.constant_normalized(0.1), N=5)
 
 
-# --- lock-step batches against one run per trajectory -------------------------------
+# --- certify's lock-step loop against one run per trajectory -------------------------
 
 
-def _lockstep_batch(N):
-    """A mixed batch: random instances at three (B, R), scripted and
-    unscripted long-step instances, both two-step instances, and hinges that
-    stop at once, one of them on a slope of norm 1e-15, which a move would
-    not leave in place, and scripted at the iterations it never queries."""
-    batch = []
-    for seed, (B, R) in enumerate([(1.0, 1.0), (2.0, 3.0), (1e-200, 1.0)]):
-        p = scale_instance(random_instance(2 + 3 * seed, 4 + seed, seed=seed), B, R)
-        batch += [(p, s) for s in _all_schedules(N)]
-    batch += [(long_step_instance(50, 0.3), StepSchedule.constant_normalized(0.3))]
+def _step_together(instances, schedules, N):
+    """``solver.step_together`` on unit, unscripted whole-space instances, as
+    certify's chunk calls it: each trajectory's (values, steps, points,
+    subgradients, terminated_early) rows, or None where the loop hands the
+    batch back."""
+    pieces = [p.oracle.pieces for p in instances]
+    batch = solver.PieceBatch([f.slopes for f in pieces], [f.intercepts for f in pieces])
+    X = np.zeros((len(instances), batch.slopes.shape[2]))
+    for row, p in zip(X, instances):
+        row[: p.dimension] = p.x_start
+    steps = solver.planned_steps(schedules, N)
+    by_length = np.array([schedule.by_length for schedule in schedules])
+    stepped = solver.step_together(batch, X, steps, by_length, N)
+    if stepped is None:
+        return None
+    values, points, subgradients, _ = stepped
+    return [
+        (values[:, t], steps[:, t], points[:, t, :d], subgradients[:, t, :d], False)
+        for t, d in enumerate(batch.dims)
+    ]
+
+
+def _unit_batch(N):
+    """Unit, unscripted whole-space instances of three shapes with every
+    schedule: random instances, the unscripted long-step instance and both
+    unscripted two-step instances."""
+    batch = [
+        (random_instance(2 + 3 * seed, 4 + seed, seed=seed), s)
+        for seed in range(3) for s in _all_schedules(N)
+    ]
     batch += [(long_step_instance(50, 0.3, scripted=False), s) for s in _all_schedules(N)]
     for make, h2 in ((two_step_worst_small, 0.05), (two_step_worst_long, 0.3)):
-        own = StepSchedule.custom([TWO_STEP_FIRST] + [h2] * (N - 1))
-        batch += [(make(h2), own), (make(h2, scripted=False), _all_schedules(N)[0])]
-    hinge = _hinge()
-    batch += [(hinge, s) for s in _all_schedules(N)]
-    pieces = PiecewiseLinearMax(
-        slopes=np.array([[1e-15], [1.0]]), intercepts=np.array([0.0, -1.0]),
-        scripted_choices={k: 1 for k in range(2, N + 1)},
-    )
-    quiet = instance_from_pieces(pieces, f_star=0.0, x_star=[0.5], x_start=[0.5], B=1.0, R=1.0)
-    return batch + [(quiet, StepSchedule.constant_length(0.2))]
-
-
-def _unit_unscripted(p):
-    return p.oracle.B == p.oracle.R == 1.0 and not p.oracle.pieces.scripted_choices
+        batch += [(make(h2, scripted=False), s) for s in _all_schedules(N)]
+    return batch
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 50])
 def test_lockstep_steps_every_trajectory_that_run_does_not_stop(N, monkeypatch):
-    batch = [
-        (p, s) for p, s in _lockstep_batch(N)
-        if _unit_unscripted(p) and not run(p, s, N=N).terminated_early
-    ]
+    batch = [(p, s) for p, s in _unit_batch(N) if not run(p, s, N=N).terminated_early]
     instances, schedules = zip(*batch)
     expected = [_bits(run(p, schedule, N=N)) for p, schedule in batch]
-    # random and long-step instances of mixed shapes; the hinges stop at once,
-    # the two-step instances at N >= 7
+    # random and long-step instances of mixed shapes; the two-step instances
+    # stop under some schedules at N = 7 and under all at N = 50
     assert len(batch) >= 10 and len({p.dimension for p in instances}) >= 2
 
     def no_run(*args, **kwargs):
-        raise AssertionError("the batch handed a trajectory to run")
+        raise AssertionError("the lock-step loop called run")
 
     monkeypatch.setattr(solver, "run", no_run)
-    traces = run_lockstep(instances, schedules, N)
-    assert [_bits(trace) for trace in traces] == expected
-    for trace in traces:
-        assert trace.points.flags.c_contiguous and trace.subgradients.flags.c_contiguous
-    assert [_bits(t) for t in run_lockstep(instances[:1], schedules[:1], N)] == expected[:1]
-
-
-@pytest.mark.parametrize("N", [1, 2, 7, 50])
-def test_lockstep_is_run_bit_for_bit_on_a_mixed_batch(N):
-    # the batch holds stoppers, so run makes every trace, padding included
-    instances, schedules = zip(*_lockstep_batch(N))
-    traces = run_lockstep(instances, schedules, N)
-    assert len(traces) == len(instances)
-    for p, schedule, trace in zip(instances, schedules, traces):
-        assert _bits(trace) == _bits(run(p, schedule, N=N))
-    early = [trace.terminated_early for trace in traces]
-    assert early[-6:] == [True] * 6 and not all(early)
-
-
-def _scripted_abs(k):
-    # |x| from x = 1 with steps of 0.1, scripted at iteration k to the piece
-    # -x, which is then 2 - 0.2 (k - 1) below the maximum
-    pieces = PiecewiseLinearMax(
-        slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2), scripted_choices={k: 1}
-    )
-    return instance_from_pieces(pieces, f_star=0.0, x_star=[0.0], x_start=[1.0], B=1.0, R=1.0)
+    assert [_bits(t) for t in _step_together(instances, schedules, N)] == expected
+    assert [_bits(t) for t in _step_together(instances[:1], schedules[:1], N)] == expected[:1]
 
 
 def _raised(fn):
@@ -591,50 +594,40 @@ def _raised(fn):
     return type(exc.value), str(exc.value)
 
 
-@pytest.mark.parametrize("B,R", [(1.0, 1.0), (2.0, 3.0)])
-def test_lockstep_raises_what_run_raises_for_the_first_failing_trajectory(B, R):
-    schedule = StepSchedule.constant_normalized(0.1)
-    good = scale_instance(random_instance(4, 6, seed=1), B, R)
-    late, early = (scale_instance(_scripted_abs(k), B, R) for k in (5, 3))
-    # `late` fails at iteration 5, after `early` has failed at iteration 3
-    batch = [good, late, early]
-    expected = _raised(lambda: [run(p, schedule, N=6) for p in batch])
-    assert expected[0] is ScriptedPieceInactive and "iteration 5" in expected[1]
-    assert _raised(lambda: run_lockstep(batch, [schedule] * len(batch), 6)) == expected
-    # a stopped trajectory's script is checked again at N + 1
-    pieces = PiecewiseLinearMax(
-        slopes=np.array([[0.0], [1.0]]), intercepts=np.array([0.0, -1.0]),
-        scripted_choices={5: 1},
-    )
-    stop = instance_from_pieces(pieces, f_star=0.0, x_star=[0.5], x_start=[0.5], B=1.0, R=1.0)
-    expected = _raised(lambda: run(stop, schedule, N=4))
-    batch = [good, stop]
-    assert _raised(lambda: run_lockstep(batch, [schedule] * len(batch), 4)) == expected
-
-
 def test_lockstep_raises_the_norm_check_of_run():
-    pieces = PiecewiseLinearMax(slopes=np.array([[1.0], [-1.0]]), intercepts=np.zeros(2))
-    low_B = ProblemInstance(
-        oracle=PiecewiseOracle(pieces), projection=project_all, f_star=0.0, B=0.5,
-        R=1.0, dimension=1, x_start=np.array([1.0]),
-    )
+    """The loop hands the batch back exactly where ``run`` raises for a norm
+    above B (1 + 1e-12), at B = 1: in a step and in the final query."""
     schedule = StepSchedule.constant_normalized(0.1)
-    expected = _raised(lambda: run(low_B, schedule, N=3))
-    assert expected[0] is ValueError and "exceeding B=0.5" in expected[1]
-    batch = [random_instance(3, 2, seed=0), low_B]
-    assert _raised(lambda: run_lockstep(batch, [schedule] * len(batch), 3)) == expected
+    for slope in (1.0 + 5e-13, 1.0 + 2e-12, 2.0):
+        # max(x, -slope x) from x = 1 with steps of 0.1 reaches 0 at iteration
+        # 11, where the piece -slope x is chosen for the first time
+        pieces = PiecewiseLinearMax(slopes=np.array([[1.0], [-slope]]), intercepts=np.zeros(2))
+        p = ProblemInstance(
+            oracle=PiecewiseOracle(pieces), projection=project_all, f_star=0.0, B=1.0,
+            R=1.0, dimension=1, x_start=np.array([1.0]),
+        )
+        batch = [random_instance(3, 2, seed=0), p]
+        for N in (3, 10, 12):  # no such answer, the final one, and a step's at 11
+            stepped = _step_together(batch, [schedule] * 2, N)
+            if N == 3 or slope < 1.0 + 1e-12:
+                expected = [_bits(run(q, schedule, N=N)) for q in batch]
+                assert [_bits(t) for t in stepped] == expected
+            else:
+                kind, message = _raised(lambda: run(p, schedule, N=N))
+                assert kind is ValueError and message.endswith("exceeding B=1.0")
+                assert stepped is None
 
 
 def _overflowing():
     """Instances whose custom steps of 1.7e308 overflow the iterates: on the
     axis pieces max(x1, x2) from (1, 0) the values hold 0 * -inf = NaN at
-    iteration 4; on max(x, 2x) from 1 every value is -inf from iteration 2."""
+    iteration 4; on max(x / 2, x) from 1 every value is -inf from iteration 3."""
     axes = instance_from_pieces(
         PiecewiseLinearMax(np.eye(2), np.zeros(2)), f_star=0.0, x_star=[0.0, 0.0],
         x_start=[1.0, 0.0],
     )
     ray = instance_from_pieces(
-        PiecewiseLinearMax(np.array([[1.0], [2.0]]), np.zeros(2)), f_star=0.0,
+        PiecewiseLinearMax(np.array([[0.5], [1.0]]), np.zeros(2)), f_star=0.0,
         x_star=[0.0], x_start=[1.0],
     )
     return axes, ray
@@ -644,60 +637,15 @@ def test_lockstep_never_picks_a_padded_piece():
     axes, ray = _overflowing()
     huge = StepSchedule.custom([1.7e308] * 6)
     wide = random_instance(6, 9, seed=2)  # 18 pieces: the others are padded
+    schedules = [StepSchedule.constant_normalized(0.1), huge]
     with np.errstate(over="ignore", invalid="ignore"):
-        # NaN values leave no active piece: run and the batch raise the same error
+        # NaN values leave no active piece: run raises and the loop hands the batch back
         expected = _raised(lambda: run(axes, huge, N=6))
-        batch = [wide, axes]
-        assert _raised(lambda: run_lockstep(batch, [huge] * len(batch), 6)) == expected
+        assert _step_together([wide, axes], schedules, 6) is None
         # all values -inf: every piece is in the band, and the last real one is chosen
-        batch = [wide, ray]
-        traces = run_lockstep(batch, [huge] * len(batch), 6)
-        assert _bits(traces[1]) == _bits(run(ray, huge, N=6))
+        traces = _step_together([wide, ray], schedules, 6)
+        trace = run(ray, huge, N=6)
     assert expected == (ValueError, "iteration 4: no piece is active at the queried "
                         "point, where the maximum is nan")
-    assert traces[1].values[-1] == -np.inf and not traces[1].terminated_early
-
-
-def test_lockstep_runs_every_other_instance_through_run(monkeypatch):
-    """A unit batch with one instance the batch does not take gives run's
-    traces bit for bit, or raises run's error, through one run per trajectory."""
-    schedule = StepSchedule.constant_normalized(0.1)
-    custom = ProblemInstance(
-        oracle=_abs_oracle, projection=project_all, f_star=0.0, B=1.0, R=1.0,
-        dimension=1, x_start=np.array([1.0]),
-    )
-    ball = instance_from_pieces(
-        PiecewiseLinearMax(np.eye(3), np.zeros(3)), f_star=-1.0 / np.sqrt(3.0),
-        x_star=-np.ones(3) / np.sqrt(3.0), x_start=np.zeros(3),
-        projection=project_ball(np.zeros(3), 1.0),
-    )
-    outsiders = {
-        "scaled": scale_instance(random_instance(3, 4, seed=5), 2.0, 3.0),
-        "scripted": _scripted_abs(9),  # scripted at an iteration it never queries
-        "inactive-script": _scripted_abs(3),
-        "ball": ball,
-        "custom oracle": custom,
-        "no start": replace(random_instance(3, 4, seed=6), x_start=None),
-    }
-    unit = [random_instance(4, 6, seed=1), abs_instance()]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "run", counted)
-    for name, p in outsiders.items():
-        batch = [unit[0], p, unit[1]]
-        if name in ("inactive-script", "no start"):
-            expected = _raised(lambda: [run(q, schedule, N=6) for q in batch])
-            assert _raised(lambda: run_lockstep(batch, [schedule] * 3, 6)) == expected
-            assert calls == batch[:2], name
-        else:
-            traces = run_lockstep(batch, [schedule] * 3, 6)
-            assert [_bits(t) for t in traces] == [_bits(run(q, schedule, N=6)) for q in batch]
-            assert calls == batch, name
-        calls.clear()
-    assert run_lockstep([], [], 3) == []
-    with pytest.raises(IncompatibleLength):
-        run_lockstep([abs_instance()], [], 3)
+    assert [_bits(t) for t in traces] == [_bits(run(wide, schedules[0], N=6)), _bits(trace)]
+    assert trace.values[-1] == -np.inf and not trace.terminated_early
