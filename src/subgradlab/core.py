@@ -62,7 +62,7 @@ class SubgradientSample(NamedTuple):
     takes for a 1-D float64 vector, so the two agree bit for bit.  The record
     is an immutable tuple, but ``subgradient`` may be the oracle's own data
     (a row of the pieces' slopes, or its scaled copy); callers must not
-    write to it."""
+    write to it, and for a piecewise answer numpy raises if they try."""
 
     value: float
     subgradient: np.ndarray
@@ -156,10 +156,11 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
     does not depend on (B, R).  Each field of a scaled answer is the unit
     field times its scale: value by B * R, subgradient and norm by B.  A
     scale of 1.0 is skipped, which keeps every bit (x / 1.0 == x), so with
-    B == 1.0 the subgradient is the chosen row of ``f.slopes`` itself.  The
+    B == 1.0 the subgradient is a view of the chosen row of ``f.slopes``.  The
     pieces, script and scales are bound once, and each piece's (g, norm) is
-    kept in a memo local to the returned function: callers must not write to
-    g.  ``x`` must be a float64 array.
+    kept, read-only, in a memo local to the returned function, so a write
+    into an answer raises instead of changing the slopes or a trace that
+    keeps it.  ``x`` must be a float64 array.
     """
     dot, intercepts, slopes = f.slopes.dot, f.intercepts, f.slopes
     script = f.scripted_choices or {}
@@ -191,6 +192,7 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
             row = slopes[piece]
             norm = math.sqrt(row.dot(row))
             answer = memo[piece] = (row, norm) if B == 1.0 else (B * row, B * norm)
+            answer[0].flags.writeable = False
         g, norm = answer
         return BR * fmax, g, norm
 

@@ -14,7 +14,7 @@ reads ``f_star`` or ``x_star``; gaps are measured afterwards by the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,20 +107,25 @@ class RunTrace:
     """Everything the method produced over one run of N iterations.
 
     ``values`` holds f(x^1) .. f(x^{N+1}), ``steps`` the N step sizes
-    actually applied, ``points`` the (N+1) x dim array of iterates and
-    ``subgradients`` the (N+1) x dim array of oracle answers g^1 .. g^{N+1},
-    the last one queried at x^{N+1} with iteration index N+1.
+    actually applied and ``points`` the (N+1) x dim array of iterates.
+    ``answers`` keeps the oracle answers g^1 .. g^{N+1} by reference, the
+    last one queried at x^{N+1} with iteration index N+1; ``subgradients``
+    stacks them into a fresh (N+1) x dim float64 array on each read.
     """
 
     values: np.ndarray
     steps: np.ndarray
     points: np.ndarray
-    subgradients: np.ndarray
+    answers: list = field(repr=False)
     terminated_early: bool
 
     @property
     def horizon(self) -> int:
         return len(self.steps)
+
+    @property
+    def subgradients(self) -> np.ndarray:
+        return np.array(self.answers, dtype=np.float64)
 
 
 def run(
@@ -138,7 +143,8 @@ def run(
     slots are padded with nominal positive values, and the trace is flagged
     ``terminated_early``; the final query at index N+1 is still made.
     There is one loop, with its query chosen once: ``core.plmax_query`` on
-    the fields of a ``PiecewiseOracle``, else the oracle itself.
+    the fields of a ``PiecewiseOracle``, whose read-only answers the trace
+    keeps by reference, else the oracle itself, with each answer copied.
     """
     if N is None:
         if schedule.N is None:
@@ -155,7 +161,12 @@ def run(
         raise InfeasibleReference("initial point is not in the feasible set")
 
     o = p.oracle
-    query = core.plmax_query(o.pieces, o.B, o.R) if isinstance(o, core.PiecewiseOracle) else o
+    if isinstance(o, core.PiecewiseOracle):
+        query = core.plmax_query(o.pieces, o.B, o.R)
+    else:
+        def query(x, k):  # a copy of g, since such an oracle may reuse its buffer
+            value, g, norm = o(x, k)
+            return value, np.array(g), norm
     project, rule, by_length = p.projection, schedule.rule, schedule.by_length
     B, R = p.B, p.R
     max_norm, zero_norm = B * (1.0 + 1e-12), ZERO_TOL * B
@@ -163,7 +174,7 @@ def run(
     values = np.empty(N + 1)
     steps = np.empty(N)
     points = np.empty((N + 1, p.dimension))
-    subgradients = np.empty((N + 1, p.dimension))
+    answers = []
     points[0] = x
     terminated_early = False
 
@@ -172,14 +183,14 @@ def run(
         if norm > max_norm:
             raise core.norm_above_B(norm, B)
         values[k - 1] = value
-        subgradients[k - 1] = g
+        answers.append(g)
         if norm <= zero_norm:
             terminated_early = True
             values[k - 1 :] = value
             for j in range(k, N + 1):
                 steps[j - 1] = schedule.nominal_step(j, p)
             points[k:] = x
-            subgradients[k - 1 :] = g
+            answers += [g] * (N - k)
             break
         h_k = rule(k, B, R)
         if by_length:
@@ -192,13 +203,13 @@ def run(
     if norm > max_norm:
         raise core.norm_above_B(norm, B)
     values[N] = value
-    subgradients[N] = g
+    answers.append(g)
 
     return RunTrace(
         values=values,
         steps=steps,
         points=points,
-        subgradients=subgradients,
+        answers=answers,
         terminated_early=terminated_early,
     )
 

@@ -201,6 +201,26 @@ def test_run_copies_every_point_and_subgradient(scale):
     assert not np.shares_memory(trace.subgradients, p.oracle.pieces.slopes)
 
 
+@pytest.mark.parametrize("B", [1.0, 2.0], ids=["unit", "scaled"])
+def test_oracle_answers_are_read_only(B):
+    """A piecewise answer is the oracle's own row (a view of the slopes at
+    B = 1), so a write into it raises and leaves the slopes as they were;
+    the stacked ``trace.subgradients`` is a fresh, writable copy."""
+    p = scale_instance(random_instance(3, 5, seed=8), B, 1.0)
+    slopes = p.oracle.pieces.slopes
+    before = slopes.copy()
+    g = p.evaluate(p.x_start).subgradient
+    with pytest.raises(ValueError, match="read-only"):
+        g[0] = 5.0
+    trace = run(p, StepSchedule.constant_normalized(0.1), N=6)
+    with pytest.raises(ValueError, match="read-only"):
+        trace.answers[0][0] = 5.0
+    stacked = trace.subgradients
+    stacked[:] = 5.0
+    assert np.array_equal(slopes, before)
+    assert not (trace.subgradients == 5.0).any()
+
+
 def test_pieces_validation():
     with pytest.raises(ValueError):
         PiecewiseLinearMax(slopes=np.zeros((0, 2)), intercepts=np.zeros(0))

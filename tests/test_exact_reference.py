@@ -21,7 +21,12 @@ float result must sit within a stated relative error of it:
   lower-bound witness against B R / sqrt(N + 1): 16 (N + 1) units of 2^-52;
 * both sides of ``verify_lemma`` against ``Fraction`` arithmetic on the same
   float inputs, on the instances where the inequality is an equality: the
-  float slack within 8 u sum|terms| (u = 2^-53) of the exact one and of 0.
+  float slack within 8 u sum|terms| (u = 2^-53) of the exact one and of 0;
+* the combination coefficients c_k of the two weight builders, derived at
+  50 digits from the builders' defining formulas and the schedules' steps:
+  ``coefficients`` within 4 (N + 1) u sum|terms| of them, and
+  ``alpha_family_bound`` within 16 (N + 1) max(1, h) units of 2^-52 of the
+  bound the derived coefficients give.
 """
 
 import csv
@@ -38,7 +43,9 @@ import pytest
 from subgradlab import (
     PiecewiseLinearMax,
     StepSchedule,
+    alpha_family_bound,
     best_iterate_bound,
+    coefficients,
     constant_step_rate,
     constant_step_weights,
     instance_from_pieces,
@@ -325,3 +332,76 @@ def test_lemma_is_an_equality_where_the_rate_is_tight(family, N, h):
     assert abs(check.lhs - lhs) <= budget and abs(check.rhs - rhs) <= budget
     assert abs(check.slack - float(rhs - lhs)) <= budget
     assert abs(check.slack) <= budget, (check.slack, budget)
+
+
+def exact_coefficients(h, v):
+    """c_1 .. c_{N+1} at 50 digits from the steps h_1 .. h_{N+1} and the
+    weights v_0 .. v_{N+1}, c_k = h_k v_k^2 - (v_k - v_{k-1}) sum_{i>=k} h_i v_i;
+    the sum of the absolute values of each c_k's terms; and the right side
+    at ||x^1 - x_hat|| = ||g^k|| = 1, v_0^2 / 2 + sum_k h_k^2 v_k^2 / 2."""
+    n = len(h)
+    with decimal.localcontext(CONTEXT):
+        suffix = [Decimal(0)] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            suffix[k] = suffix[k + 1] + h[k] * v[k + 1]
+        c = [h[k] * v[k + 1] ** 2 - (v[k + 1] - v[k]) * suffix[k] for k in range(n)]
+        size = [h[k] * v[k + 1] ** 2 + abs(v[k + 1] - v[k]) * suffix[k] for k in range(n)]
+        rhs = v[0] ** 2 / 2 + sum(h[k] ** 2 * v[k + 1] ** 2 for k in range(n)) / 2
+    return c, size, rhs
+
+
+def assert_coefficients_within_budget(w, steps, c, size):
+    N = len(steps)
+    floats = coefficients(w, steps)
+    for k in range(N + 1):
+        assert abs(Decimal(floats[k]) - c[k]) <= Decimal(4 * (N + 1) * EPS / 2) * size[k], k
+
+
+@pytest.mark.parametrize("N", [1, 5, 20, 150])
+def test_optimal_step_weights_are_derived_not_restated(N):
+    """``optimal_step_weights``' defining formula, v_k = (N+1)^(3/4) / (N+1-k)
+    (k <= N), v_(N+1) = v_N and h_(N+1) = 1 / (N+1)^(3/2), with the optimal
+    schedule's steps h_k = (N+1-k) / (N+1)^(3/2), gives c_1 .. c_N = 0,
+    c_(N+1) = 1 and the right side 1 / sqrt(N+1) at 50 digits, so the
+    inequality bounds the last gap by the optimal rate.  The float
+    coefficients on the steps a run realized agree within the budget."""
+    with decimal.localcontext(CONTEXT):
+        m = Decimal(N + 1)
+        v = [m.sqrt() * m.sqrt().sqrt() / (N + 1 - k) for k in range(N + 1)]
+        v.append(v[N])
+        h = [(N + 1 - k) / (m * m.sqrt()) for k in range(1, N + 2)]
+        h[N] = 1 / (m * m.sqrt())
+        c, size, rhs = exact_coefficients(h, v)
+        assert all(abs(c[k]) <= Decimal("1e-45") * size[k] for k in range(N))
+        assert abs(c[N] - 1) <= Decimal("1e-45")
+        assert abs(rhs - 1 / m.sqrt()) <= Decimal("1e-45")
+    trace = run(lower_bound_witness(N), StepSchedule.optimal_last_iterate(N), N=N)
+    assert_coefficients_within_budget(optimal_step_weights(N), trace.steps, c, size)
+
+
+@pytest.mark.parametrize("N", [1, 5, 20, 150])
+@pytest.mark.parametrize("alpha", [1.0, 2.5])
+@pytest.mark.parametrize("h", [0.01, 0.3])
+def test_constant_step_weights_are_derived_not_restated(N, alpha, h):
+    """``constant_step_weights``' defining formula, v_k = 1 / s_(alpha,N+1-k)
+    (k <= N), v_(N+1) = alpha and h_(N+1) = h, with the constant steps h,
+    gives c_1 .. c_N = 0 and c_(N+1) = h at 50 digits, and the right side
+    over c_(N+1) is the alpha-family bound
+    (s_(alpha,N+1) sqrt(h) - 1 / (s_(alpha,N+1) sqrt(h)))^2 / 2 + 1 - N h.
+    The float coefficients on the steps a run realized, and the float
+    ``alpha_family_bound``, agree within their budgets."""
+    with decimal.localcontext(CONTEXT):
+        seq = [Decimal(alpha)]  # s_(alpha,1) .. s_(alpha,N+1)
+        for _ in range(N):
+            seq.append(seq[-1] + 1 / seq[-1])
+        v = [1 / seq[N - k] for k in range(N + 1)] + [Decimal(alpha)]
+        c, size, rhs = exact_coefficients([Decimal(h)] * (N + 1), v)
+        assert all(abs(c[k]) <= Decimal("1e-45") * size[k] for k in range(N))
+        assert abs(c[N] - Decimal(h)) <= Decimal("1e-45")
+        z = seq[N] * Decimal(h).sqrt()
+        bound = (z - 1 / z) ** 2 / 2 + 1 - N * Decimal(h)
+        assert abs(rhs / c[N] - bound) <= Decimal("1e-40") * bound
+    trace = run(abs_instance(), StepSchedule.constant_normalized(h), N=N)
+    assert (trace.steps == h).all()
+    assert_coefficients_within_budget(constant_step_weights(N, alpha, h), trace.steps, c, size)
+    assert rel_err(alpha_family_bound(N, h, alpha), bound) <= 16 * (N + 1) * max(1.0, h) * EPS

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -358,14 +359,15 @@ def test_check_supports_error_types():
 
 
 def _reference_run(p, schedule, N):
-    """The reference run loop: one ``p.evaluate`` per answer and one
-    ``schedule.step_size`` per step.  Returns (values, steps, points,
-    subgradients, terminated_early)."""
+    """The reference run loop: one ``p.evaluate`` per answer, copied as it
+    arrives, and one ``schedule.step_size`` per step.  Returns (values,
+    steps, points, subgradients, terminated_early)."""
     x = as_point(p.x_start, p.dimension)
     values, steps, points, subgradients = [], [], [x], []
     terminated_early = False
     for k in range(1, N + 1):
         value, g, norm = p.evaluate(x, k)
+        g = np.array(g)
         if norm <= ZERO_TOL * p.B:
             terminated_early = True
             values += [value] * (N + 1 - k)
@@ -381,7 +383,7 @@ def _reference_run(p, schedule, N):
         points.append(x)
     last = p.evaluate(x, N + 1)
     values.append(last.value)
-    subgradients.append(last.subgradient)
+    subgradients.append(np.array(last.subgradient))
     return values, steps, points, subgradients, terminated_early
 
 
@@ -443,7 +445,7 @@ def _ball_scaled():
     return scale_instance(unit, 2.0, 3.0)
 
 
-@pytest.mark.parametrize(
+RUN_CASES = pytest.mark.parametrize(
     "p,N,own,early",
     [
         (random_instance(5, 9, seed=3), 300, None, False),
@@ -459,11 +461,66 @@ def _ball_scaled():
     ids=["random", "random-B2-R3", "longstep", "two-step-small", "two-step-long",
          "ball-B2-R3", "hinge", "quiet-hinge", "script-past-N"],
 )
+
+
+@RUN_CASES
 def test_run_is_the_evaluate_loop_bit_for_bit(p, N, own, early):
     for schedule in _all_schedules(N) + ([own] if own else []):
         expected = _bits(_reference_run(p, schedule, N))
         assert _bits(run(p, schedule, N=N)) == expected
         assert expected[1] is early
+
+
+def _reused_buffer(p):
+    """``p`` with a custom oracle that returns one buffer, overwritten with
+    each answer of ``p``'s own oracle."""
+    buffer = np.empty(p.dimension)
+
+    def oracle(x, k=None):
+        value, g, _ = p.oracle(x, k)
+        buffer[:] = g
+        return SubgradientSample.of(value, buffer)
+
+    return replace(p, oracle=oracle)
+
+
+@RUN_CASES
+def test_trace_subgradients_are_the_copying_reference_bit_for_bit(p, N, own, early):
+    """A trace keeps its answers by reference and stacks them on each read:
+    the array is the loop's copy per answer, bit for bit, also for an oracle
+    that overwrites its one answer buffer, and each read is a fresh array."""
+    for schedule in _all_schedules(N) + ([own] if own else []):
+        expected = np.array(_reference_run(p, schedule, N)[3])
+        for q in (p, _reused_buffer(p)):
+            trace = run(q, schedule, N=N)
+            first, second = trace.subgradients, trace.subgradients
+            assert first.dtype == np.float64 and first.shape == (N + 1, p.dimension)
+            assert first.tobytes() == second.tobytes() == expected.tobytes()
+            assert not np.shares_memory(first, second)
+            assert "answers" not in repr(trace)
+
+
+@pytest.mark.parametrize(
+    "p,schedule,N",
+    [
+        (random_instance(32, 64, seed=4), StepSchedule.constant_normalized(0.1), 20_000),
+        (long_step_instance(200, 0.3), StepSchedule.constant_normalized(0.3), 200),
+    ],
+    ids=["random-32x64", "longstep-200"],
+)
+def test_trace_memory_is_the_points_and_little_more(p, schedule, N):
+    """``run`` keeps its answers by reference, not as an (N+1) x dim copy:
+    its peak traced allocation stays within 1.25 times the points array,
+    where such a copy would take it above 2.  tracemalloc counts numpy's
+    data buffers, so the ratio does not depend on the machine."""
+    run(p, schedule, N=2)
+    tracemalloc.start()
+    try:
+        trace = run(p, schedule, N=N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * trace.points.nbytes
 
 
 def _abs_oracle(x, k=None):
