@@ -25,6 +25,7 @@ from .certify import (
     matching_alpha,
     optimal_step_weights,
     recursive_weights,
+    trial_slacks,
     verify_lemma,
 )
 from .core import (
@@ -143,6 +144,7 @@ __all__ = [
     "s_identity_check",
     "scale_instance",
     "tightness_report",
+    "trial_slacks",
     "two_step_schedule",
     "two_step_worst_gap",
     "two_step_worst_long",

@@ -17,8 +17,8 @@ It needs a subgradient at the final point, hence one extra oracle call,
 which ``solver.run`` makes and records in the trace.
 Choosing the weights well makes c_1 .. c_N vanish and turns the left side
 into a pure last-iterate gap; the builders below produce exactly those
-choices.  ``verify_lemma`` evaluates both sides on an actual trace so the
-inequality can be checked wholesale on random weights.
+choices.  ``verify_lemma`` evaluates both sides on an actual trace, and
+``trial_slacks`` checks the inequality wholesale on random trials.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import core, solver, worstcase
 from .core import ProblemInstance, as_point
 from .errors import (
     IncompatibleLength,
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .rates import _validate_horizon, _validate_scale, _validate_step
 from .sequences import iter_s, s
-from .solver import RunTrace
+from .solver import RunTrace, StepSchedule
 
 
 @dataclass(frozen=True)
@@ -269,3 +270,169 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# --- the inequality on random trials, in chunks -------------------------------
+
+# Bytes of lock-step state a chunk of trials may hold.
+CERTIFY_CHUNK_BYTES = 1 << 20
+
+# The largest dimension a trial draws, with up to 2 * dim directions.
+CERTIFY_MAX_DIM = 8
+
+# The trials' step schedules, in turn; each draws its parameter, then builds.
+_TRIAL_SCHEDULES: tuple[Callable[[np.random.Generator, int], StepSchedule], ...] = (
+    lambda rng, N: StepSchedule.constant_normalized(rng.uniform(0.05, 1.2)),
+    lambda rng, N: StepSchedule.constant_length(rng.uniform(0.05, 1.0)),
+    lambda rng, N: StepSchedule.optimal_last_iterate(N),
+    lambda rng, N: StepSchedule.optimal_length(N),
+    lambda rng, N: StepSchedule.custom(rng.uniform(0.02, 0.8, N)),
+)
+
+
+def trial_slacks(
+    seed: int, N: int, trials: range, reverse: bool = False
+) -> Iterator[tuple[range, np.ndarray]]:
+    """For each consecutive chunk of the range ``trials``, ``(part, slacks)``:
+    its sub-range and a float64 array of its trials' slacks of the inequality
+    at horizon N, in trial order.  Trial t draws from ``default_rng([seed,
+    t])`` (see ``_draw``); ``reverse`` reverses its weights, which
+    ``WeightSequence`` rejects.  A chunk that ``_certify_chunk`` hands back
+    runs trial by trial through ``_certify_trials``, with the same bits."""
+    N = _validate_horizon(N)
+    chunk = _chunk_trials(N)
+    for first in range(0, len(trials), chunk):
+        part = trials[first : first + chunk]
+        slacks = _certify_chunk(seed, part, N, reverse)
+        if slacks is None:
+            slacks = _certify_trials(seed, part, N, reverse)
+        yield part, slacks
+
+
+def _chunk_trials(N: int) -> int:
+    """Trials per chunk at horizon N: as many as fit ``CERTIFY_CHUNK_BYTES``
+    at the largest shapes a trial draws (dimension ``CERTIFY_MAX_DIM``, four
+    times as many pieces), so memory does not grow with the trial count.  The
+    count allows each trial its instance twice and its trace three times,
+    plus about 2 KB of Python objects.  A chunk holds less: its pieces, on
+    their own and padded, its weight and lemma rows, and lock-step rows of
+    values, steps and chosen pieces, but no instance, trace, point or
+    subgradient.  The tracemalloc peak of ``certify --trials 1000`` is
+    0.28-0.50 MiB at N = 5, 10, 20, 50 and 100 (0.54-0.59 MiB with them)."""
+    d, m = CERTIFY_MAX_DIM, 4 * CERTIFY_MAX_DIM
+    trace = (N + 1) * (2 * d + 1) + N
+    instance = 2 * m * (d + 3) + 3 * d
+    return max(1, CERTIFY_CHUNK_BYTES // (8 * (3 * trace + instance) + 2048))
+
+
+def _draw(seed: int, trial: int, N: int, build: Callable) -> tuple:
+    """Trial ``trial``'s instance, schedule, unsorted weights v, h_last and
+    x_hat (None for x_star, on even trials), drawn from its own
+    ``default_rng([seed, trial])`` in a fixed order; the instance is
+    ``build(dimension, directions, rng)``."""
+    rng = np.random.default_rng([seed, trial])
+    dim = int(rng.integers(2, CERTIFY_MAX_DIM + 1))
+    instance = build(dim, int(rng.integers(1, 2 * dim + 1)), rng)
+    schedule = _TRIAL_SCHEDULES[trial % len(_TRIAL_SCHEDULES)](rng, N)
+    v = rng.uniform(0.05, 2.0, N + 2)
+    h_last = float(rng.uniform(0.05, 1.0))
+    x_hat = None if trial % 2 == 0 else rng.standard_normal(dim)
+    return instance, schedule, v, h_last, x_hat
+
+
+def _certify_trials(seed: int, trials: range, N: int, reverse: bool) -> np.ndarray:
+    """The slacks of ``trials`` through ``random_instance``, ``run``,
+    ``WeightSequence`` and ``verify_lemma``: the path of a chunk that
+    ``_certify_chunk`` hands back.  Every trial runs before any is checked,
+    so a run error comes first, then a weight or x_hat error, each for the
+    first trial that has one."""
+    drawn = [_draw(seed, trial, N, worstcase.random_instance) for trial in trials]
+    traces = [solver.run(p, schedule, N=N) for p, schedule, *_ in drawn]
+    slacks = np.empty(len(drawn))
+    for t, ((p, _, v, h_last, x_hat), trace) in enumerate(zip(drawn, traces)):
+        v = np.sort(v)
+        weights = WeightSequence(v[::-1] if reverse else v, h_last=h_last)
+        x_hat = p.x_star if x_hat is None else x_hat
+        slacks[t] = verify_lemma(trace, p, weights, x_hat).slack
+    return slacks
+
+
+def _sums_of_squares(a: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(r * r)`` of every row r of ``a[t, ..., :dims[t]]``,
+    with the bits of the 1-D sum: the trials are grouped by dimension, since
+    zero padding changes a sum of 4 to 7 terms once it reaches 8."""
+    out = np.zeros(a.shape[:-1])
+    for d in set(dims.tolist()):
+        sel = dims == d
+        rows = a[sel, ..., :d]
+        out[sel] = np.add.reduce(rows * rows, axis=-1)
+    return out
+
+
+def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarray | None:
+    """The slacks of ``trials``, drawn, run and checked as arrays with the
+    bits of ``_certify_trials``; None, for ``_certify_trials`` to handle,
+    when some run would stop early or raise, an entry is not finite, or an
+    x_hat or its answer fails a check of ``verify_lemma``.
+
+    Draw: ``_draw`` draws each trial as ``_certify_trials`` does, its pieces
+    through ``worstcase.random_pieces``, which ``random_instance`` wraps.
+    Run: ``solver.step_together`` steps the chunk and records the piece of
+    every answer.  Check: the instance and weight checks run once over the
+    chunk, f(x_hat) is one batched answer, and ``lemma_rows`` evaluates every
+    trial's inequality at once.  Only BLAS calls stay per trial, since a
+    kernel sums in its own order: the gemvs, the two ddots of the start point
+    (its normalization and the R check) and the two of the lemma.
+    """
+    T = len(trials)
+    X = np.zeros((T, CERTIFY_MAX_DIM))  # x^1
+    x_hat = np.zeros((T, CERTIFY_MAX_DIM))  # x_star = 0 on the even trials
+    v = np.empty((T, N + 2))
+    h_last = np.empty(T)
+    dist = np.empty(T)
+    steps = np.empty((N, T))  # rule(k, 1.0, 1.0); a by-length step is divided when taken
+    by_length = np.empty(T, dtype=bool)
+    slopes = []
+    for t, trial in enumerate(trials):
+        (S, x), schedule, v[t], h_last[t], xh = _draw(seed, trial, N, worstcase.random_pieces)
+        slopes.append(S)
+        X[t, : len(x)] = x
+        dist[t] = math.sqrt(x.dot(x))  # ||x_start - x_star||, as instance_from_pieces takes it
+        schedule.check_supports(N)
+        steps[:, t] = [schedule.rule(k, 1.0, 1.0) for k in range(1, N + 1)]
+        by_length[t] = schedule.by_length
+        if xh is not None:
+            x_hat[t, : len(xh)] = xh
+    v.sort(axis=1)
+    if reverse:
+        v = v[:, ::-1]
+    batch = solver.PieceBatch(slopes, [np.zeros(len(S)) for S in slopes])
+    dims, D = batch.dims, batch.slopes.shape[2]
+    X, x_hat = X[:, :D], x_hat[:, :D]
+
+    # the checks of instance_from_pieces, on the unit instances random_instance builds
+    if not (np.isfinite(batch.slopes).all() and np.isfinite(X).all()):
+        return None
+    sq = _sums_of_squares(batch.slopes, dims)  # slope_norms ** 2, bit for bit
+    core.check_bounds(np.sqrt(sq).max(axis=1), dist, 1.0, 1.0)
+
+    # verify_lemma's checks of x_hat: finite, and feasible, at distance 0 from
+    # its projection onto the whole space
+    if not np.isfinite(x_hat).all() or (core.project_all(x_hat) - x_hat).any():
+        return None
+    d_sq = _sums_of_squares(X - x_hat, dims)  # before step_together moves X
+    stepped = solver.step_together(batch, X, steps, by_length, N)
+    if stepped is None:
+        return None
+    values, pieces = stepped
+
+    f_hat = np.empty(T)
+    if batch.answer(batch.gemvs(x_hat), f_hat) is None:
+        return None
+    check_weight_rows(v, h_last)
+
+    g_norms_sq = np.empty((T, N + 1))
+    g_norms_sq[:, :N] = sq[batch.ar[:, None], pieces[:N].T]  # the rows g^k are slopes
+    G = batch.slopes[batch.ar, pieces[N]]
+    g_norms_sq[:, N] = [g[:d].dot(g[:d]) for g, d in zip(G, dims)]
+    return lemma_rows(steps.T, h_last, v, values.T, f_hat, g_norms_sq, d_sq).slack

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import certify as certify_mod
-from . import core, rates, solver, worstcase
+from . import rates, solver, worstcase
 from .core import ProblemInstance, scale_instance
 from .errors import SubgradLabError
 
@@ -57,7 +57,6 @@ class _Method(NamedTuple):
     flag: str | None  # the `run` flag holding the step parameter
     schedule: Callable[[int, Any], solver.StepSchedule]  # from (N, param)
     rate: Callable[[int, Any], float] | None  # last-iterate rate per B*R
-    draw: Callable[[np.random.Generator, int], Any]  # certify's random param
 
 
 _METHODS = {
@@ -65,37 +64,28 @@ _METHODS = {
         "h",
         lambda N, h: solver.StepSchedule.constant_normalized(h),
         lambda N, h: rates.constant_step_rate(N, h),
-        lambda rng, N: rng.uniform(0.05, 1.2),
     ),
     "length": _Method(
         "t",
         lambda N, t: solver.StepSchedule.constant_length(t),
         lambda N, t: rates.constant_length_rate(N, t),
-        lambda rng, N: rng.uniform(0.05, 1.0),
     ),
     "optimal": _Method(
         None,
         lambda N, _: solver.StepSchedule.optimal_last_iterate(N),
         lambda N, _: rates.optimal_method_rate(N),
-        lambda rng, N: None,
     ),
     "optimal-length": _Method(
         None,
         lambda N, _: solver.StepSchedule.optimal_length(N),
         lambda N, _: rates.optimal_method_rate(N),
-        lambda rng, N: None,
     ),
     "custom": _Method(
         None,
         lambda N, steps: solver.StepSchedule.custom(steps),
         None,
-        lambda rng, N: rng.uniform(0.02, 0.8, N),
     ),
 }
-
-
-# certify's trials cycle through the methods in this order
-_CERTIFY_METHODS = tuple(_METHODS.values())
 
 
 class CliError(Exception):
@@ -296,148 +286,6 @@ def _cmd_sweep(args) -> int:
     return _report(args, cells, SWEEP_COLUMNS)
 
 
-# Bytes of lock-step state a certify chunk may hold.
-CERTIFY_CHUNK_BYTES = 1 << 20
-
-# The largest dimension a certify trial draws; it draws up to 2 * dim
-# directions, which random_instance doubles into pieces.
-CERTIFY_MAX_DIM = 8
-
-
-def _chunk_trials(N: int) -> int:
-    """Certify trials per chunk at horizon N: as many as fit
-    ``CERTIFY_CHUNK_BYTES`` at the largest shapes certify draws (dimension
-    ``CERTIFY_MAX_DIM``, four times as many pieces), so memory does not grow
-    with ``--trials``.  The count allows each trial its instance twice and
-    its trace three times, plus about 2 KB of Python objects.  A chunk holds
-    less: its pieces in their own arrays and padded, its lock-step buffers
-    and its (trials, N + 2) weight and lemma rows, but no per-trial instance
-    or trace.  The tracemalloc peak of ``certify --trials 1000`` is
-    0.54-0.59 MiB at N = 5, 10, 20, 50 and 100 (0.87-0.95 MiB when each
-    trial kept its instance and a copy of its trace)."""
-    d, m = CERTIFY_MAX_DIM, 4 * CERTIFY_MAX_DIM
-    trace = (N + 1) * (2 * d + 1) + N
-    instance = 2 * m * (d + 3) + 3 * d
-    return max(1, CERTIFY_CHUNK_BYTES // (8 * (3 * trace + instance) + 2048))
-
-
-def _draw(seed: int, trial: int, N: int, build: Callable) -> tuple:
-    """Trial ``trial``'s dimension, instance, schedule, unsorted weights v,
-    h_last and x_hat (None for x_star, on even trials), drawn from its own
-    ``default_rng([seed, trial])`` in a fixed order; the instance is
-    ``build(dimension, directions, rng)``."""
-    rng = np.random.default_rng([seed, trial])
-    dim = int(rng.integers(2, CERTIFY_MAX_DIM + 1))
-    instance = build(dim, int(rng.integers(1, 2 * dim + 1)), rng)
-    method = _CERTIFY_METHODS[trial % len(_CERTIFY_METHODS)]
-    schedule = method.schedule(N, method.draw(rng, N))
-    v = rng.uniform(0.05, 2.0, N + 2)
-    h_last = float(rng.uniform(0.05, 1.0))
-    x_hat = None if trial % 2 == 0 else rng.standard_normal(dim)
-    return dim, instance, schedule, v, h_last, x_hat
-
-
-def _certify_trials(seed: int, trials: range, N: int, reverse: bool) -> list[float]:
-    """The slacks of ``trials`` through ``random_instance``, ``run``,
-    ``WeightSequence`` and ``verify_lemma``: the path of a chunk that
-    ``_certify_chunk`` hands back.  Every trial runs before any is checked,
-    so a run error comes first, then a weight or x_hat error, each for the
-    first trial that has one."""
-    drawn = [_draw(seed, trial, N, worstcase.random_instance) for trial in trials]
-    traces = [solver.run(p, schedule, N=N) for _, p, schedule, *_ in drawn]
-    slacks = []
-    for (_, p, _, v, h_last, x_hat), trace in zip(drawn, traces):
-        v = np.sort(v)
-        weights = certify_mod.WeightSequence(v[::-1] if reverse else v, h_last=h_last)
-        x_hat = p.x_star if x_hat is None else x_hat
-        slacks.append(certify_mod.verify_lemma(trace, p, weights, x_hat).slack)
-    return slacks
-
-
-def _sums_of_squares(a: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(r * r)`` of every row r of ``a[t, ..., :dims[t]]``,
-    with the bits of the 1-D sum: the trials are grouped by dimension, since
-    zero padding changes a sum of 4 to 7 terms once it reaches 8."""
-    out = np.zeros(a.shape[:-1])
-    for d in set(dims.tolist()):
-        sel = dims == d
-        rows = a[sel, ..., :d]
-        out[sel] = np.add.reduce(rows * rows, axis=-1)
-    return out
-
-
-def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> list[float] | None:
-    """The slacks of ``trials``, drawn, run and checked as arrays with the
-    bits of ``_certify_trials``; None, for ``_certify_trials`` to handle,
-    when some run would stop early or raise, an entry is not finite, or an
-    x_hat or its answer fails a check of ``verify_lemma``.
-
-    Draw: ``_draw`` makes each trial's draws in the order of
-    ``_certify_trials``, its pieces through ``worstcase.random_pieces``,
-    which ``random_instance`` wraps, into the chunk's buffers.  Run:
-    ``solver.step_together`` steps the chunk and records the piece of every
-    answer.  Check: the instance and weight checks run once over the chunk,
-    f(x_hat) is one batched answer, and ``certify.lemma_rows`` evaluates
-    every trial's inequality at once.  Only BLAS calls stay per trial, since
-    a kernel sums in its own order: the gemvs, the two ddots of the start
-    point (its normalization and the R check) and the two of the lemma.
-    """
-    T = len(trials)
-    dims = np.empty(T, dtype=np.intp)
-    X = np.zeros((T, CERTIFY_MAX_DIM))  # x^1
-    x_hat = np.zeros((T, CERTIFY_MAX_DIM))  # x_star = 0 on the even trials
-    v = np.empty((T, N + 2))
-    h_last = np.empty(T)
-    dist = np.empty(T)
-    slopes, schedules = [], []
-    for t, trial in enumerate(trials):
-        dim, (S, x), schedule, v[t], h_last[t], xh = _draw(seed, trial, N, worstcase.random_pieces)
-        dims[t] = dim
-        slopes.append(S)
-        X[t, :dim] = x
-        dist[t] = math.sqrt(x.dot(x))  # ||x_start - x_star||, as instance_from_pieces takes it
-        schedule.check_supports(N)
-        schedules.append(schedule)
-        if xh is not None:
-            x_hat[t, :dim] = xh
-    v.sort(axis=1)
-    if reverse:
-        v = v[:, ::-1]
-    D = int(dims.max())
-    X, x_hat = X[:, :D], x_hat[:, :D]
-
-    # the checks of instance_from_pieces, on the unit instances random_instance builds
-    batch = solver.PieceBatch(slopes, [np.zeros(len(S)) for S in slopes])
-    if not (np.isfinite(batch.slopes).all() and np.isfinite(X).all()):
-        return None
-    sq = _sums_of_squares(batch.slopes, dims)  # slope_norms ** 2, bit for bit
-    core.check_bounds(np.sqrt(sq).max(axis=1), dist, 1.0, 1.0)
-
-    steps = solver.planned_steps(schedules, N)
-    by_length = np.array([schedule.by_length for schedule in schedules])
-    stepped = solver.step_together(batch, X, steps, by_length, N)
-    if stepped is None:
-        return None
-    values, points, subgradients, pieces = stepped
-
-    # verify_lemma's checks of x_hat: finite, and feasible, at distance 0 from
-    # its projection onto the whole space
-    if not np.isfinite(x_hat).all() or (core.project_all(x_hat) - x_hat).any():
-        return None
-    f_hat = np.empty(T)
-    if batch.answer(batch.gemvs(x_hat), f_hat) is None:
-        return None
-    certify_mod.check_weight_rows(v, h_last)
-
-    g_norms_sq = np.empty((T, N + 1))
-    g_norms_sq[:, :N] = sq[batch.ar[:, None], pieces[:N].T]  # the rows g^k are slopes
-    g_norms_sq[:, N] = [g[:d].dot(g[:d]) for g, d in zip(subgradients[N], dims)]
-    check = certify_mod.lemma_rows(
-        steps.T, h_last, v, values.T, f_hat, g_norms_sq, _sums_of_squares(points[0] - x_hat, dims)
-    )
-    return check.slack.tolist()
-
-
 def _cmd_certify(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
@@ -447,13 +295,9 @@ def _cmd_certify(args) -> int:
     min_slack = least = math.inf
     min_trial = -1
     violations: list[tuple[int, float]] = []
-    chunk = _chunk_trials(N)
-    for first in range(0, args.trials, chunk):
-        trials = range(first, min(first + chunk, args.trials))
-        slacks = _certify_chunk(seed, trials, N, args.force_nonmonotone)
-        if slacks is None:
-            slacks = _certify_trials(seed, trials, N, args.force_nonmonotone)
-        for trial, slack in zip(trials, slacks):
+    chunks = certify_mod.trial_slacks(seed, N, range(args.trials), args.force_nonmonotone)
+    for trials, slacks in chunks:
+        for trial, slack in zip(trials, slacks.tolist()):
             # a NaN slack shows no bound holds: it counts as the least, and fails
             key = -math.inf if math.isnan(slack) else slack
             if key < least:

@@ -102,7 +102,7 @@ class StepSchedule:
         return self.rule(k, p.B, p.R)
 
 
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
     """Everything the method produced over one run of N iterations.
 
@@ -271,15 +271,6 @@ class PieceBatch:
         return piece
 
 
-def planned_steps(schedules: Sequence[StepSchedule], N: int) -> np.ndarray:
-    """(N, T): ``rule(k, 1.0, 1.0)`` of each schedule, its steps on a unit
-    instance; a by-length step is divided by the norm when it is taken."""
-    steps = np.empty((N, len(schedules)))
-    for t, schedule in enumerate(schedules):
-        steps[:, t] = [schedule.rule(k, 1.0, 1.0) for k in range(1, N + 1)]
-    return steps
-
-
 def step_together(batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length: np.ndarray, N: int):
     """The lock-step loop of certify's chunk: ``run``'s N steps and final
     query for every trajectory of ``batch`` from the points X (T, D), which
@@ -287,20 +278,17 @@ def step_together(batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length
     realized ones.  The instances are unit (B = R = 1), unscripted and on
     the whole space.
 
-    Returns ``(values, points, subgradients, pieces)``, arrays of N + 1 rows
-    over the trajectories, ``pieces`` holding the index of the piece each
-    answer chose; or None when some answer would make ``run`` raise (see
-    ``PieceBatch.answer``) or, before the final query, stop early (a norm
-    at or below ``ZERO_TOL``).
+    Returns ``(values, pieces)``, arrays of N + 1 rows over the
+    trajectories, ``pieces`` holding the index of the piece each answer
+    chose, whose row of ``batch.slopes`` is the subgradient; or None when
+    some answer would make ``run`` raise (see ``PieceBatch.answer``) or,
+    before the final query, stop early (a norm at or below ``ZERO_TOL``).
     """
     T, D = X.shape
     any_by_length = bool(by_length.any())
     HG = np.empty((T, D))
     values = np.empty((N + 1, T))
-    points = np.empty((N + 1, T, D))
-    subgradients = np.empty((N + 1, T, D))
     pieces = np.empty((N + 1, T), dtype=np.intp)
-    points[0] = X
     gemvs = batch.gemvs(X)
 
     for k in range(1, N + 2):  # N steps, then the final query at N + 1
@@ -308,7 +296,6 @@ def step_together(batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length
         if piece is None:
             return None
         pieces[k - 1] = piece
-        G = subgradients[k - 1] = batch.slopes[batch.ar, piece]
         if k > N:
             break
         norm = batch.norms[batch.ar, piece]
@@ -317,10 +304,9 @@ def step_together(batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length
         h = steps[k - 1]
         if any_by_length:
             np.divide(h, norm, out=h, where=by_length)
-        np.multiply(h[:, None], G, out=HG)
+        np.multiply(h[:, None], batch.slopes[batch.ar, piece], out=HG)
         np.subtract(X, HG, out=X)
-        points[k] = X
-    return values, points, subgradients, pieces
+    return values, pieces
 
 
 def _settle_gap(raw: float, p: ProblemInstance) -> float:

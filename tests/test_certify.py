@@ -24,10 +24,19 @@ from subgradlab import (
     scale_instance,
     verify_lemma,
 )
-from subgradlab import cli, solver
-from subgradlab.cli import _METHODS
+from subgradlab import certify, solver
 from subgradlab.sequences import s
 from subgradlab.worstcase import abs_instance, random_instance
+
+# certify's step rules and their draws, written out: each draws its
+# parameter from the trial's generator, then builds
+_SCHEDULE_DRAWS = (
+    lambda rng, N: StepSchedule.constant_normalized(rng.uniform(0.05, 1.2)),
+    lambda rng, N: StepSchedule.constant_length(rng.uniform(0.05, 1.0)),
+    lambda rng, N: StepSchedule.optimal_last_iterate(N),
+    lambda rng, N: StepSchedule.optimal_length(N),
+    lambda rng, N: StepSchedule.custom(rng.uniform(0.02, 0.8, N)),
+)
 
 
 def test_weight_validation():
@@ -262,7 +271,6 @@ def _flat_bottom_instance(rng, dim):
 def test_lemma_matches_reference_formulas_bit_for_bit():
     """300 certify-style trials: unit and scaled random instances and
     flat-bottomed ones whose runs stop early, under every step rule."""
-    methods = list(_METHODS.values())  # certify's step rules and draws
     early = 0
     for trial in range(300):
         rng = np.random.default_rng([29, trial])
@@ -275,8 +283,7 @@ def test_lemma_matches_reference_formulas_bit_for_bit():
             p = random_instance(dim, int(rng.integers(1, 2 * dim + 1)), seed=rng)
             if kind == 1:
                 p = scale_instance(p, rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0))
-        method = methods[trial % len(methods)]
-        trace = run(p, method.schedule(N, method.draw(rng, N)), N=N)
+        trace = run(p, _SCHEDULE_DRAWS[trial % 5](rng, N), N=N)
         early += trace.terminated_early
         w = WeightSequence(np.sort(rng.uniform(0.05, 2.0, N + 2)), rng.uniform(0.05, 1.0))
         x_hat = p.x_star if trial % 2 == 0 else rng.standard_normal(dim)
@@ -301,10 +308,55 @@ def test_chunk_slacks_are_verify_lemma_bit_for_bit(N):
     slack of random_instance, run and verify_lemma, to the bit."""
     trials = range(3, 3 + (40 if N == 100 else 120))
     assert _chunk_dims(5, trials) == set(range(2, 9))  # every dimension certify draws
-    chunk = cli._certify_chunk(5, trials, N, False)
+    chunk = certify._certify_chunk(5, trials, N, False)
     assert chunk is not None
-    one_by_one = cli._certify_trials(5, trials, N, False)
+    one_by_one = certify._certify_trials(5, trials, N, False)
     assert [s.hex() for s in chunk] == [s.hex() for s in one_by_one]
+
+
+def _trial_by_trial_slacks(seed, trials, N):
+    """Each trial's slack through random_instance, run and verify_lemma, as
+    hex strings, with certify's draws written out."""
+    slacks = []
+    for trial in trials:
+        rng = np.random.default_rng([seed, trial])
+        dim = int(rng.integers(2, 9))
+        p = random_instance(dim, int(rng.integers(1, 2 * dim + 1)), seed=rng)
+        trace = run(p, _SCHEDULE_DRAWS[trial % 5](rng, N), N=N)
+        v = np.sort(rng.uniform(0.05, 2.0, N + 2))
+        w = WeightSequence(v, h_last=float(rng.uniform(0.05, 1.0)))
+        x_hat = p.x_star if trial % 2 == 0 else rng.standard_normal(dim)
+        slacks.append(verify_lemma(trace, p, w, x_hat).slack.hex())
+    return slacks
+
+
+@pytest.mark.parametrize("N", [1, 7, 20])
+def test_trial_slacks_is_a_library_call(capsys, N):
+    """trial_slacks prints nothing and yields, chunk by chunk, float64 arrays
+    whose concatenation is the trial-by-trial loop's slacks, bit for bit,
+    wherever the range is split; reversed weights raise."""
+    chunk = certify._chunk_trials(N)
+    trials = range(37, 2 * chunk + 50)
+
+    def concatenated(*parts):
+        got = []
+        for part in parts:
+            for sub, slacks in certify.trial_slacks(11, N, part):
+                assert isinstance(slacks, np.ndarray) and slacks.dtype == np.float64
+                assert slacks.shape == (len(sub),) and len(sub) <= chunk
+                got.append((sub, [x.hex() for x in slacks.tolist()]))
+        assert [t for sub, _ in got for t in sub] == list(trials)
+        return [x for _, hexes in got for x in hexes]
+
+    whole = concatenated(trials)
+    assert whole == _trial_by_trial_slacks(11, trials, N)
+    cuts = {38, 36 + chunk, 37 + chunk, 38 + chunk, trials.stop - 1}
+    cuts |= set(np.random.default_rng(N).integers(38, trials.stop, 3).tolist())
+    for cut in sorted(cuts):
+        assert concatenated(range(37, cut), range(cut, trials.stop)) == whole, cut
+    with pytest.raises(MonotonicityViolation):
+        next(certify.trial_slacks(11, N, trials, reverse=True))
+    assert capsys.readouterr() == ("", "")
 
 
 def test_trial_major_sums_match_the_1d_sum():
@@ -331,7 +383,7 @@ def test_padded_sums_of_squares_keep_their_bits_by_dimension():
     for row, d in zip(padded, dims):
         row[:d] = rng.standard_normal(d)
     one_d = [np.add.reduce(row[:d] * row[:d]).hex() for row, d in zip(padded, dims)]
-    assert [x.hex() for x in cli._sums_of_squares(padded, dims)] == one_d
+    assert [x.hex() for x in certify._sums_of_squares(padded, dims)] == one_d
     naive = [x.hex() for x in np.add.reduce(padded * padded, axis=1)]
     for d in range(4, 8):
         assert any(a != b for a, b, dd in zip(naive, one_d, dims) if dd == d), d
@@ -346,19 +398,18 @@ def test_gathered_squared_norms_are_the_rows_sums(N):
     """||g^k||^2 for k <= N is the per-piece sum np.add.reduce(S * S, axis=1)
     of the piece the answer chose, whose root is slope_norms."""
     instances = [random_instance(d, 1 + d % 5, seed=d) for d in range(2, 9)]
-    schedules = [_METHODS["constant"].schedule(N, 0.3)] * len(instances)
+    schedule = StepSchedule.constant_normalized(0.3)
     slopes = [p.oracle.pieces.slopes for p in instances]
     batch = solver.PieceBatch(slopes, [p.oracle.pieces.intercepts for p in instances])
     X = np.zeros((len(instances), 8))
     for row, p in zip(X, instances):
         row[: p.dimension] = p.x_start
-    steps = solver.planned_steps(schedules, N)
-    _, _, subgradients, pieces = solver.step_together(
-        batch, X, steps, np.zeros(len(instances), dtype=bool), N
-    )
-    sq = cli._sums_of_squares(batch.slopes, batch.dims)
+    steps = np.full((N, len(instances)), 0.3)  # the schedule's steps on a unit instance
+    _, pieces = solver.step_together(batch, X, steps, np.zeros(len(instances), dtype=bool), N)
+    sq = certify._sums_of_squares(batch.slopes, batch.dims)
     for t, p in enumerate(instances):
         m, d = p.oracle.pieces.slopes.shape
         assert np.array_equal(np.sqrt(sq[t, :m]), p.oracle.pieces.slope_norms)
-        g = subgradients[:N, t, :d]
+        g = run(p, schedule, N=N).subgradients[:N]
+        assert np.array_equal(batch.slopes[t, pieces[:N, t], :d], g)
         assert np.array_equal(sq[t, pieces[:N, t]], np.add.reduce(g * g, axis=1))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from subgradlab import (
-    WeightSequence, cli, constant_length_rate, core, random_instance, run, verify_lemma,
-    worstcase,
+    StepSchedule, WeightSequence, certify, cli, constant_length_rate, core, random_instance, run,
+    verify_lemma, worstcase,
 )
 from subgradlab.certify import LemmaCheck
 from subgradlab.cli import COLUMNS, SWEEP_COLUMNS, main
@@ -507,18 +507,27 @@ def test_unknown_subcommand_exits_two(capsys):
 # --- certify in lock-step chunks against the trial-by-trial loop ---------------------
 
 
+# certify's step rules and their draws, written out: each draws its parameter
+# from the trial's generator, then builds
+_SCHEDULE_DRAWS = (
+    lambda rng, N: StepSchedule.constant_normalized(rng.uniform(0.05, 1.2)),
+    lambda rng, N: StepSchedule.constant_length(rng.uniform(0.05, 1.0)),
+    lambda rng, N: StepSchedule.optimal_last_iterate(N),
+    lambda rng, N: StepSchedule.optimal_length(N),
+    lambda rng, N: StepSchedule.custom(rng.uniform(0.02, 0.8, N)),
+)
+
+
 def _certify_trial_by_trial(trials, N, seed):
     """The certify loop with one ``run`` and one ``verify_lemma`` per trial,
     printing what ``certify`` prints."""
-    methods = list(cli._METHODS.values())
     min_slack, min_trial, violations = math.inf, -1, []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         dim = int(rng.integers(2, 9))
         directions = int(rng.integers(1, 2 * dim + 1))
         p = random_instance(dim, directions, seed=rng)
-        method = methods[trial % len(methods)]
-        trace = run(p, method.schedule(N, method.draw(rng, N)), N=N)
+        trace = run(p, _SCHEDULE_DRAWS[trial % 5](rng, N), N=N)
         v = np.sort(rng.uniform(0.05, 2.0, N + 2))
         weights = WeightSequence(v, h_last=float(rng.uniform(0.05, 1.0)))
         x_hat = p.x_star if trial % 2 == 0 else rng.standard_normal(dim)
@@ -546,7 +555,7 @@ def test_certify_lockstep_replays_the_trial_by_trial_loop(capsys, N, seed):
 
 @pytest.mark.parametrize("N", [1, 20])
 def test_certify_lockstep_replays_across_chunks(capsys, N):
-    trials = 2 * cli._chunk_trials(N) + 3
+    trials = 2 * certify._chunk_trials(N) + 3
     code, out, _ = invoke(capsys, "certify", "--trials", str(trials), "--N", str(N),
                           "--seed", "7")
     assert code == 0
@@ -560,8 +569,9 @@ def test_certify_hands_a_chunk_with_a_failing_trial_to_the_trial_by_trial_path(
     raise, sends that chunk through random_instance, run and verify_lemma;
     the output is still the trial-by-trial loop's."""
     N = 5
-    chunk = cli._chunk_trials(N)
-    threshold, chunk_path, trial_path = core.active_threshold, cli._certify_chunk, cli._certify_trials
+    chunk = certify._chunk_trials(N)
+    threshold = core.active_threshold
+    chunk_path, trial_path = certify._certify_chunk, certify._certify_trials
     armed, handed = [], []
 
     def nan_in_trial_4(fmax):
@@ -581,8 +591,8 @@ def test_certify_hands_a_chunk_with_a_failing_trial_to_the_trial_by_trial_path(
         return trial_path(seed, trials, *rest)
 
     monkeypatch.setattr(core, "active_threshold", nan_in_trial_4)
-    monkeypatch.setattr(cli, "_certify_chunk", arm_the_second_chunk)
-    monkeypatch.setattr(cli, "_certify_trials", spy)
+    monkeypatch.setattr(certify, "_certify_chunk", arm_the_second_chunk)
+    monkeypatch.setattr(certify, "_certify_trials", spy)
     code, out, err = invoke(capsys, "certify", "--trials", str(2 * chunk + 3), "--N", str(N),
                             "--seed", "7")
     assert (code, err) == (0, "")
@@ -605,7 +615,7 @@ def test_certify_chunk_raises_the_instance_error_of_the_trial_path(monkeypatch, 
 
     monkeypatch.setattr(worstcase, "random_pieces", scaled)
     errors = []
-    for path in (cli._certify_chunk, cli._certify_trials):
+    for path in (certify._certify_chunk, certify._certify_trials):
         calls.clear()
         with pytest.raises(ValueError) as exc:
             path(3, range(10), 5, False)

@@ -523,6 +523,16 @@ def test_trace_memory_is_the_points_and_little_more(p, schedule, N):
     assert peak <= 1.25 * trace.points.nbytes
 
 
+def test_traces_compare_by_identity():
+    """Traces hold arrays, so ``==`` compares identity rather than raising on
+    an array's ambiguous truth value."""
+    p = random_instance(3, 5, seed=1)
+    schedule = StepSchedule.constant_normalized(0.1)
+    trace, again = run(p, schedule, N=3), run(p, schedule, N=3)
+    assert not (trace == again) and trace != again
+    assert trace == trace
+
+
 def _abs_oracle(x, k=None):
     # |x| with abs_instance's tie-break: -1 whenever -x is within the
     # ACTIVE_TOL band of the maximum
@@ -594,24 +604,32 @@ def test_a_scripted_piece_inactive_mid_run_raises_from_run(B, R):
 
 def _step_together(instances, schedules, N):
     """``solver.step_together`` on unit, unscripted whole-space instances, as
-    certify's chunk calls it: each trajectory's (values, steps, points,
-    subgradients, terminated_early) rows, or None where the loop hands the
-    batch back."""
+    certify's chunk calls it: each trajectory's (values, steps, rows of the
+    chosen pieces, final point, terminated_early), or None where the loop
+    hands the batch back."""
     pieces = [p.oracle.pieces for p in instances]
     batch = solver.PieceBatch([f.slopes for f in pieces], [f.intercepts for f in pieces])
     X = np.zeros((len(instances), batch.slopes.shape[2]))
     for row, p in zip(X, instances):
         row[: p.dimension] = p.x_start
-    steps = solver.planned_steps(schedules, N)
+    # each schedule's steps on a unit instance; a by-length step is divided when taken
+    steps = np.array([[s.rule(k, 1.0, 1.0) for s in schedules] for k in range(1, N + 1)])
     by_length = np.array([schedule.by_length for schedule in schedules])
     stepped = solver.step_together(batch, X, steps, by_length, N)
     if stepped is None:
         return None
-    values, points, subgradients, _ = stepped
+    values, chosen = stepped
     return [
-        (values[:, t], steps[:, t], points[:, t, :d], subgradients[:, t, :d], False)
+        (values[:, t], steps[:, t], batch.slopes[t, chosen[:, t], :d], X[t, :d], False)
         for t, d in enumerate(batch.dims)
     ]
+
+
+def _lockstep_bits(trace):
+    """The bits of what the lock-step loop gives of a run: its values, steps,
+    subgradients and final point."""
+    return _bits((trace.values, trace.steps, trace.subgradients, trace.points[-1],
+                  trace.terminated_early))
 
 
 def _unit_batch(N):
@@ -632,7 +650,7 @@ def _unit_batch(N):
 def test_lockstep_steps_every_trajectory_that_run_does_not_stop(N, monkeypatch):
     batch = [(p, s) for p, s in _unit_batch(N) if not run(p, s, N=N).terminated_early]
     instances, schedules = zip(*batch)
-    expected = [_bits(run(p, schedule, N=N)) for p, schedule in batch]
+    expected = [_lockstep_bits(run(p, schedule, N=N)) for p, schedule in batch]
     # random and long-step instances of mixed shapes; the two-step instances
     # stop under some schedules at N = 7 and under all at N = 50
     assert len(batch) >= 10 and len({p.dimension for p in instances}) >= 2
@@ -667,7 +685,7 @@ def test_lockstep_raises_the_norm_check_of_run():
         for N in (3, 10, 12):  # no such answer, the final one, and a step's at 11
             stepped = _step_together(batch, [schedule] * 2, N)
             if N == 3 or slope < 1.0 + 1e-12:
-                expected = [_bits(run(q, schedule, N=N)) for q in batch]
+                expected = [_lockstep_bits(run(q, schedule, N=N)) for q in batch]
                 assert [_bits(t) for t in stepped] == expected
             else:
                 kind, message = _raised(lambda: run(p, schedule, N=N))
@@ -704,5 +722,7 @@ def test_lockstep_never_picks_a_padded_piece():
         trace = run(ray, huge, N=6)
     assert expected == (ValueError, "iteration 4: no piece is active at the queried "
                         "point, where the maximum is nan")
-    assert [_bits(t) for t in traces] == [_bits(run(wide, schedules[0], N=6)), _bits(trace)]
+    assert [_bits(t) for t in traces] == [
+        _lockstep_bits(run(wide, schedules[0], N=6)), _lockstep_bits(trace)
+    ]
     assert trace.values[-1] == -np.inf and not trace.terminated_early
