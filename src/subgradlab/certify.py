@@ -38,7 +38,7 @@ from .errors import (
     MonotonicityViolation,
     StepOutOfRange,
 )
-from .rates import _validate_horizon, _validate_scale, _validate_step
+from .rates import _validate_horizon, _validate_scale, _validate_step, _validate_steps
 from .sequences import iter_s, s
 from .solver import RunTrace, StepSchedule
 
@@ -215,7 +215,7 @@ def recursive_weights(
     schedule with h_last = t R / B); otherwise construction fails with
     ``MonotonicityViolation``.
     """
-    steps = np.asarray(steps, dtype=np.float64)
+    steps = _validate_steps(steps)
     alpha = _validate_step(alpha, "alpha")
     h_last = _validate_step(h_last, "h_last")
     N = len(steps)
@@ -382,7 +382,7 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarra
     chunk, f(x_hat) is one batched answer, and ``lemma_rows`` evaluates every
     trial's inequality at once.  Only BLAS calls stay per trial, since a
     kernel sums in its own order: the gemvs, the two ddots of the start point
-    (its normalization and the R check) and the two of the lemma.
+    (its normalization and the R check) and the lemma's left side.
     """
     T = len(trials)
     X = np.zeros((T, CERTIFY_MAX_DIM))  # x^1
@@ -413,8 +413,7 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarra
     # the checks of instance_from_pieces, on the unit instances random_instance builds
     if not (np.isfinite(batch.slopes).all() and np.isfinite(X).all()):
         return None
-    sq = _sums_of_squares(batch.slopes, dims)  # slope_norms ** 2, bit for bit
-    core.check_bounds(np.sqrt(sq).max(axis=1), dist, 1.0, 1.0)
+    core.check_bounds(batch.norms.max(axis=1), dist, 1.0, 1.0)
 
     # verify_lemma's checks of x_hat: finite, and feasible, at distance 0 from
     # its projection onto the whole space
@@ -431,8 +430,7 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarra
         return None
     check_weight_rows(v, h_last)
 
-    g_norms_sq = np.empty((T, N + 1))
-    g_norms_sq[:, :N] = sq[batch.ar[:, None], pieces[:N].T]  # the rows g^k are slopes
-    G = batch.slopes[batch.ar, pieces[N]]
-    g_norms_sq[:, N] = [g[:d].dot(g[:d]) for g, d in zip(G, dims)]
+    g_norms_sq = np.empty((T, N + 1))  # the g^k are slopes: verify_lemma's row sums, last dot
+    g_norms_sq[:, :N] = _sums_of_squares(batch.slopes, dims)[batch.ar[:, None], pieces[:N].T]
+    g_norms_sq[:, N] = batch.dots[batch.ar, pieces[N]]
     return lemma_rows(steps.T, h_last, v, values.T, f_hat, g_norms_sq, d_sq).slack

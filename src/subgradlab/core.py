@@ -54,15 +54,21 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def row_dots(rows: np.ndarray) -> np.ndarray:
+    """``r.dot(r)`` of each row r on the last axis, bit for bit: numpy hands
+    each 1 x d by d x 1 product of the stacked ``matmul`` to that BLAS dot."""
+    return np.matmul(rows[..., None, :], rows[..., None])[..., 0, 0]
+
+
 class SubgradientSample(NamedTuple):
     """One oracle answer: the function value, a single subgradient and its
-    Euclidean ``norm``, taken once per piece per run by :func:`plmax_query`
-    (by :meth:`of` for any other oracle) as ``math.sqrt(g.dot(g))``, the
-    correctly rounded square root of the same dot product ``np.linalg.norm``
-    takes for a 1-D float64 vector, so the two agree bit for bit.  The record
-    is an immutable tuple, but ``subgradient`` may be the oracle's own data
-    (a row of the pieces' slopes, or its scaled copy); callers must not
-    write to it, and for a piecewise answer numpy raises if they try."""
+    Euclidean ``norm`` ``math.sqrt(g.dot(g))``, read from ``slope_norms`` by
+    :func:`plmax_query` and taken by :meth:`of` for any other oracle: the
+    correctly rounded root of the dot ``np.linalg.norm`` takes for a 1-D
+    float64 vector, so the two agree bit for bit.  The record is an immutable
+    tuple, but ``subgradient`` may be the oracle's own data (a row of the
+    pieces' slopes, or its scaled copy); callers must not write to it, and
+    for a piecewise answer numpy raises if they try."""
 
     value: float
     subgradient: np.ndarray
@@ -84,9 +90,9 @@ class PiecewiseLinearMax:
     which makes tie-breaking deterministic.
 
     ``slope_norms`` holds the Euclidean norm of each row of ``slopes``,
-    taken once at construction with ``np.linalg.norm``'s own formula (the
-    square root of the row sums of squares), so it equals
-    ``np.linalg.norm(slopes, axis=1)`` bit for bit.  The slopes must not be
+    taken once at construction as the root of :func:`row_dots`, so it is
+    ``math.sqrt(r.dot(r))`` of each row r bit for bit: the norm the oracle
+    answers with and the one the B checks read.  The slopes must not be
     written to afterwards.
     """
 
@@ -112,9 +118,7 @@ class PiecewiseLinearMax:
             raise ValueError("pieces have non-finite entries")
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
-        object.__setattr__(
-            self, "slope_norms", np.sqrt(np.add.reduce(slopes * slopes, axis=1))
-        )
+        object.__setattr__(self, "slope_norms", np.sqrt(row_dots(slopes)))
         if self.scripted_choices is not None:
             m = slopes.shape[0]
             for it, piece in self.scripted_choices.items():
@@ -157,12 +161,12 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
     field times its scale: value by B * R, subgradient and norm by B.  A
     scale of 1.0 is skipped, which keeps every bit (x / 1.0 == x), so with
     B == 1.0 the subgradient is a view of the chosen row of ``f.slopes``.  The
-    pieces, script and scales are bound once, and each piece's (g, norm) is
-    kept, read-only, in a memo local to the returned function, so a write
-    into an answer raises instead of changing the slopes or a trace that
-    keeps it.  ``x`` must be a float64 array.
+    pieces, script and scales are bound once, and each piece's (g, norm), the
+    norm read from ``f.slope_norms``, is kept, g read-only, in a memo local to
+    the returned function, so a write into an answer raises instead of
+    changing the slopes or a trace that keeps it.  ``x`` must be a float64 array.
     """
-    dot, intercepts, slopes = f.slopes.dot, f.intercepts, f.slopes
+    dot, intercepts, slopes, norms = f.slopes.dot, f.intercepts, f.slopes, f.slope_norms
     script = f.scripted_choices or {}
     BR = B * R
     memo = [None] * len(intercepts)
@@ -189,8 +193,7 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
                 ) from None
         answer = memo[piece]
         if answer is None:
-            row = slopes[piece]
-            norm = math.sqrt(row.dot(row))
+            row, norm = slopes[piece], float(norms[piece])
             answer = memo[piece] = (row, norm) if B == 1.0 else (B * row, B * norm)
             answer[0].flags.writeable = False
         g, norm = answer
@@ -340,6 +343,8 @@ def project_box(lo, hi) -> Projection:
 def project_ball(center, radius: float) -> Projection:
     """Projection onto the Euclidean ball of given center and radius."""
     center = np.asarray(center, dtype=np.float64)
+    if center.ndim != 1:
+        raise ValueError(f"ball center must be a 1-D point, got shape {center.shape}")
     if not np.isfinite(center).all():
         raise ValueError("ball center has non-finite entries")
     radius = float(radius)

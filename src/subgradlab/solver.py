@@ -222,10 +222,10 @@ class PieceBatch:
     per answer, ``slopes.dot(x, out=row)`` into its row of ``V``; ``slopes``
     pads them into a (T, M, D) buffer for the gather of the chosen rows, and
     the padded pieces have intercept -inf, so they are never active.
-    ``norms`` holds the query's ``sqrt(row.dot(row))`` of every piece: one
-    stacked ``matmul`` of the rows with themselves per dimension, which makes
-    the same dot.  Every other operation of an answer is one numpy call over
-    the batch, in the query's order.
+    ``dots`` holds ``core.row_dots`` of every piece, taken per dimension, and
+    ``norms`` their roots, each trajectory's ``slope_norms``.  Every other
+    operation of an answer is one numpy call over the batch, in the query's
+    order.
     """
 
     def __init__(self, slopes: Sequence[np.ndarray], intercepts: Sequence[np.ndarray]):
@@ -239,11 +239,10 @@ class PieceBatch:
             self.slopes[t, :m, :d] = s
             self.intercepts[t, :m] = c
         self.real = self.intercepts > -np.inf
-        self.norms = np.zeros((T, M))
+        self.dots = np.zeros((T, M))
         for d in set(self.dims.tolist()):
-            sel = self.dims == d
-            rows = self.slopes[sel, :, :d]
-            self.norms[sel] = np.sqrt(np.matmul(rows[..., None, :], rows[..., None]))[..., 0, 0]
+            self.dots[self.dims == d] = core.row_dots(self.slopes[self.dims == d, :, :d])
+        self.norms = np.sqrt(self.dots)
         self.V = np.zeros((T, M))  # padding: 0, then -inf once the intercepts are added
         self.active = np.zeros((T, M), dtype=bool)
         self.ar = np.arange(T)

@@ -396,7 +396,8 @@ def test_padded_sums_of_squares_keep_their_bits_by_dimension():
 @pytest.mark.parametrize("N", [1, 8, 20])
 def test_gathered_squared_norms_are_the_rows_sums(N):
     """||g^k||^2 for k <= N is the per-piece sum np.add.reduce(S * S, axis=1)
-    of the piece the answer chose, whose root is slope_norms."""
+    of the piece the answer chose; the batch's dots are those pieces' r.dot(r),
+    whose root is slope_norms."""
     instances = [random_instance(d, 1 + d % 5, seed=d) for d in range(2, 9)]
     schedule = StepSchedule.constant_normalized(0.3)
     slopes = [p.oracle.pieces.slopes for p in instances]
@@ -409,7 +410,7 @@ def test_gathered_squared_norms_are_the_rows_sums(N):
     sq = certify._sums_of_squares(batch.slopes, batch.dims)
     for t, p in enumerate(instances):
         m, d = p.oracle.pieces.slopes.shape
-        assert np.array_equal(np.sqrt(sq[t, :m]), p.oracle.pieces.slope_norms)
+        assert np.array_equal(np.sqrt(batch.dots[t, :m]), p.oracle.pieces.slope_norms)
         g = run(p, schedule, N=N).subgradients[:N]
         assert np.array_equal(batch.slopes[t, pieces[:N, t], :d], g)
         assert np.array_equal(sq[t, pieces[:N, t]], np.add.reduce(g * g, axis=1))

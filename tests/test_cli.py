@@ -644,8 +644,8 @@ def _certify_peak(trials):
 
 def test_certify_memory_does_not_grow_with_trials():
     _certify_peak(5)  # first-call set-up out of the way
-    # 5 and 20 chunks of 83 trials at N = 10
-    small, large = _certify_peak(400), _certify_peak(1600)
+    chunk = certify._chunk_trials(10)  # trials per chunk at the N = 10 of _certify_peak
+    small, large = _certify_peak(5 * chunk), _certify_peak(20 * chunk)
     assert abs(large - small) <= 0.1 * small
 
 

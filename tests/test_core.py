@@ -245,7 +245,9 @@ def test_pieces_validation():
     assert PiecewiseLinearMax(slopes=np.ones(3), intercepts=[0.0]).slopes.shape == (1, 3)
 
 
-def test_slope_norms_match_linalg_norm():
+def test_slope_norms_are_the_oracle_norms():
+    """slope_norms is the norm an oracle answer carries, ``math.sqrt(r.dot(r))``
+    of each row r, bit for bit; every B check reads it."""
     rng = np.random.default_rng(23)
     all_pieces = [long_step_instance(200, 0.3).oracle.pieces, ABS_PIECES]
     for m, d in [(1, 1), (3, 2), (16, 8), (40, 33), (7, 201)]:
@@ -253,7 +255,7 @@ def test_slope_norms_match_linalg_norm():
         all_pieces.append(PiecewiseLinearMax(slopes, np.zeros(m)))
         all_pieces.append(random_instance(d, m, seed=m).oracle.pieces)
     for pieces in all_pieces:
-        reference = np.linalg.norm(pieces.slopes, axis=1)
+        reference = np.array([math.sqrt(r.dot(r)) for r in pieces.slopes])
         assert np.array_equal(pieces.slope_norms, reference)
         assert pieces.max_slope_norm() == float(np.max(reference))
 

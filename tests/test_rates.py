@@ -223,6 +223,9 @@ def _abs_avg_gap(weights):
         lambda: project_box([math.nan], [1.0]),
         lambda: project_box([2.0], [1.0]),
         lambda: project_ball([math.nan], 1.0),
+        lambda: project_ball([[0.0]], 1.0),
+        lambda: recursive_weights([], 0.1, 1.0),
+        lambda: recursive_weights([[0.1, 0.2]], 0.1, 1.0),
     ],
     ids=[
         "alpha_family_bound-nan-h", "matching_alpha-zero-h", "matching_alpha-zero-tol",
@@ -241,6 +244,7 @@ def _abs_avg_gap(weights):
         "constant_step_weights-zero-N", "alpha_family_bound-zero-N", "matching_alpha-zero-N",
         "custom-2d-steps", "custom-0d-steps", "weights-2d", "pieces-float-scripted-piece",
         "project_box-nan-bound", "project_box-empty", "project_ball-nan-center",
+        "project_ball-2d-center", "recursive_weights-no-steps", "recursive_weights-2d-steps",
     ],
 )
 def test_non_finite_or_nonpositive_parameters_raise_value_errors(call):
