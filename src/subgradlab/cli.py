@@ -20,6 +20,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -393,4 +394,14 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    """The ``subgradlab`` command: ``main``'s status, or 141 (the shell's
+    status of a process ended by SIGPIPE, as ``cat`` ends) when the reader
+    closes stdout early, without a traceback."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the exit's flush of its unwritten rest succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

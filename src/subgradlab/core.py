@@ -165,16 +165,27 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
     norm read from ``f.slope_norms``, is kept, g read-only, in a memo local to
     the returned function, so a write into an answer raises instead of
     changing the slopes or a trace that keeps it.  ``x`` must be a float64 array.
+
+    The function owns buffers for the M piece values and x / R, so it serves
+    one ``run`` at a time and no two threads.  All-+0.0 intercepts are not
+    added: that add only turns -0.0 into +0.0, which no comparison sees.  The
+    maximum, read at its last index, has the bits of ``np.maximum.reduce``.
     """
     dot, intercepts, slopes, norms = f.slopes.dot, f.intercepts, f.slopes, f.slope_norms
     script = f.scripted_choices or {}
     BR = B * R
     memo = [None] * len(intercepts)
+    vals, y, last = np.empty(len(intercepts)), np.empty(f.dimension), len(intercepts) - 1
+    rev, add = vals[::-1], intercepts.view(np.int64).any()  # False when all are +0.0
 
     def query(x, k=None):
-        vals = dot(x if R == 1.0 else x / R)  # the gemv of `@`, without the ufunc
-        vals += intercepts
-        fmax = float(np.maximum.reduce(vals))
+        dot(x if R == 1.0 else np.divide(x, R, out=y), out=vals)  # the gemv of `@`
+        if add:
+            np.add(vals, intercepts, out=vals)
+        top = last - rev.argmax()  # the last index of the maximum, or of a NaN
+        fmax = vals.item(top)
+        if fmax == 0.0:  # +0.0 after a skipped add, else the sign the reduce picks on a tie
+            fmax = float(np.maximum.reduce(vals)) if add else 0.0
         threshold = active_threshold(fmax)
         if k in script:
             piece = script[k]
@@ -183,14 +194,17 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
                     f"iteration {k} is scripted to piece {piece}, but that piece is "
                     f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
                 )
+        elif math.isnan(threshold):  # a NaN or +inf maximum leaves no piece in the band
+            raise ValueError(
+                f"iteration {k}: no piece is active at the queried point, "
+                f"where the maximum is {fmax}"
+            )
         else:
-            try:
-                piece = (vals >= threshold).nonzero()[0][-1]
-            except IndexError:  # a NaN or +inf maximum leaves no piece in the band
-                raise ValueError(
-                    f"iteration {k}: no piece is active at the queried point, "
-                    f"where the maximum is {fmax}"
-                ) from None
+            piece = top
+            if top < last:
+                tail = vals[top + 1 :]
+                if tail.item(tail.argmax()) >= threshold:
+                    piece = top + 1 + (tail >= threshold).nonzero()[0][-1]
         answer = memo[piece]
         if answer is None:
             row, norm = slopes[piece], float(norms[piece])
@@ -320,9 +334,9 @@ def project_all(y: np.ndarray) -> np.ndarray:
     """Projection onto the whole space: the identity.
 
     Returns its argument itself, not a copy; callers must not mutate the
-    result.  ``solver.run`` passes an array it has just built and copies it
-    into the trace, also on scaled whole-space instances, which
-    ``scale_instance`` leaves with ``project_all`` itself.
+    result.  ``solver.run`` passes the trace's next row, which then needs no
+    copy, also on scaled whole-space instances, which ``scale_instance``
+    leaves with ``project_all`` itself.
     """
     return y
 

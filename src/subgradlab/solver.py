@@ -66,14 +66,14 @@ class StepSchedule:
     @classmethod
     def optimal_last_iterate(cls, N: int) -> "StepSchedule":
         N = _validate_horizon(N)
-        return cls(lambda k, B, R: R * (N + 1 - k) / (B * (N + 1) ** 1.5), N=N)
+        c = (N + 1) ** 1.5
+        return cls(lambda k, B, R: R * (N + 1 - k) / (B * c), N=N)
 
     @classmethod
     def optimal_length(cls, N: int) -> "StepSchedule":
         N = _validate_horizon(N)
-        return cls(
-            lambda k, B, R: R * (N + 1 - k) / (N + 1) ** 1.5, by_length=True, N=N
-        )
+        c = (N + 1) ** 1.5
+        return cls(lambda k, B, R: R * (N + 1 - k) / c, by_length=True, N=N)
 
     def check_supports(self, N: int) -> None:
         """Raise unless this schedule can drive N iterations."""
@@ -145,6 +145,8 @@ def run(
     There is one loop, with its query chosen once: ``core.plmax_query`` on
     the fields of a ``PiecewiseOracle``, whose read-only answers the trace
     keeps by reference, else the oracle itself, with each answer copied.
+    Each step writes x - h_k g into the trace's next row and projects that
+    row, copying back a result that is another array (an oracle must not write to x).
     """
     if N is None:
         if schedule.N is None:
@@ -176,6 +178,7 @@ def run(
     points = np.empty((N + 1, p.dimension))
     answers = []
     points[0] = x
+    hg = np.empty(p.dimension)
     terminated_early = False
 
     for k in range(1, N + 1):
@@ -196,8 +199,11 @@ def run(
         if by_length:
             h_k /= norm
         steps[k - 1] = h_k
-        x = project(x - h_k * g)
-        points[k] = x
+        row = points[k]
+        np.subtract(x, np.multiply(g, h_k, out=hg), out=row)
+        x = project(row)
+        if x is not row:
+            row[...] = x
 
     value, g, norm = query(x, N + 1)
     if norm > max_norm:

@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +506,25 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_a_reader_closing_stdout_ends_the_command_quietly():
+    """``head -1`` on a sweep of about 150 KB, more than a pipe holds: the
+    entry point ends with status 141, not 1 ("bound violated") or 2, and
+    prints no traceback."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["sweep", "--instance", "abs", "--method", "constant", "--N-list", "1",
+            "--h-grid", "0.001:0.999:0.001"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subgradlab", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"method,N,h,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""
 
 
 # --- certify in lock-step chunks against the trial-by-trial loop ---------------------

@@ -141,6 +141,113 @@ def test_oracle_value_matches_matmul_reference():
             assert eval_plmax(pieces, x, B=2.0, R=3.0).value == 2.0 * 3.0 * float(scaled)
 
 
+def _formula_query(f, B, R, x, k=None):
+    """The query written out: ``np.maximum.reduce`` of the pieces' values,
+    then the scripted piece or the highest index in the active band."""
+    vals = f.slopes.dot(x if R == 1.0 else x / R) + f.intercepts
+    fmax = float(np.maximum.reduce(vals))
+    threshold = core.active_threshold(fmax)
+    script = f.scripted_choices or {}
+    if k in script:
+        piece = script[k]
+        if vals[piece] < threshold:
+            raise ScriptedPieceInactive(
+                f"iteration {k} is scripted to piece {piece}, but that piece is "
+                f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
+            )
+    else:
+        active = (vals >= threshold).nonzero()[0]
+        if not active.size:
+            raise ValueError(
+                f"iteration {k}: no piece is active at the queried point, "
+                f"where the maximum is {fmax}"
+            )
+        piece = active[-1]
+    return SubgradientSample(B * R * fmax, B * f.slopes[piece], B * float(f.slope_norms[piece]))
+
+
+def _outcome(query, *args):
+    """An answer's bits, or the type and message of the error it raises."""
+    try:
+        return _bits(SubgradientSample(*query(*args)))
+    except (ValueError, ScriptedPieceInactive) as exc:
+        return type(exc), str(exc)
+
+
+class _SignedZeroSlopes(np.ndarray):
+    """Slopes whose gemv gives -0.0 for the zero value of a row of negative
+    slope, as a BLAS kernel may; OpenBLAS gives it only for a single row."""
+
+    def dot(self, x, out=None):
+        plain = np.asarray(self)
+        vals = plain.dot(x, out=out)
+        vals[(vals == 0.0) & (plain[:, 0] < 0.0)] = -0.0
+        return vals
+
+
+def _signed_zero_pieces(signs, intercepts):
+    f = PiecewiseLinearMax(np.array(signs, dtype=np.float64)[:, None], intercepts)
+    object.__setattr__(f, "slopes", f.slopes.view(_SignedZeroSlopes))
+    return f
+
+
+def _oracle_cases():
+    tol = 0.4 * core.ACTIVE_TOL
+    near = PiecewiseLinearMax([[1.0 - tol], [1.0], [1.0 - tol], [0.5]], np.zeros(4))
+    cases = [
+        # pieces tied exactly at the maximum, the last tie before or at the end
+        (PiecewiseLinearMax([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0]], np.zeros(4)), [1.0, 0.5], None),
+        (PiecewiseLinearMax([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], np.zeros(3)), [1.0, 0.25], None),
+        # pieces within ACTIVE_TOL before and after the last maximum
+        (near, [1.0], None),
+        (PiecewiseLinearMax(np.ones((4, 1)), [-tol, 0.0, -tol, -1.0]), [1.0], None),
+        # intercepts all +0.0, all -0.0 and of mixed sign, at a zero maximum
+        (PiecewiseLinearMax([[-1.0]], [0.0]), [0.0], None),
+        (PiecewiseLinearMax([[-1.0]], [-0.0]), [0.0], None),
+        (PiecewiseLinearMax([[1.0], [-1.0], [0.0]], [-0.0, -0.0, -0.0]), [0.0], None),
+        (PiecewiseLinearMax([[1.0], [-1.0], [0.5]], [0.0, -0.0, -0.25]), [0.5], None),
+        # a scripted piece that is not active, and one in a tie
+        (PiecewiseLinearMax([[1.0], [-1.0]], np.zeros(2), {1: 1, 2: 0}), [1.0], 1),
+        (PiecewiseLinearMax([[1.0], [-1.0]], np.zeros(2), {1: 1, 2: 0}), [0.0], 2),
+        # a +inf maximum, a NaN one, scripted or not, and inf + -inf in the
+        # gemv, which gives NaN or an infinity depending on the kernel
+        (PiecewiseLinearMax([[8.0, 0.0], [0.0, 1.0]], np.zeros(2)), [2.5e307, 1.0], None),
+        (PiecewiseLinearMax(np.eye(2), np.zeros(2)), [np.nan, 1.0], None),
+        (PiecewiseLinearMax(np.eye(2), [0.5, -0.5]), [1.0, np.nan], None),
+        (PiecewiseLinearMax(np.eye(2), np.zeros(2), {1: 1}), [np.nan, 1.0], 1),
+        (PiecewiseLinearMax([[8.0, -8.0]], [0.0]), [2.5e307, 2.5e307], None),
+        (PiecewiseLinearMax([[8.0, -8.0, 8.0, -8.0], [0.0, 0.0, 0.0, 1.0]], [0.5, -0.5]),
+         np.full(4, 2.5e307), None),
+    ]
+    # a tie of +0.0 and -0.0 at the maximum, at the lengths where the reduce
+    # takes the later zero (2) and the earlier one (9)
+    for m in (2, 9):
+        for signs in ([1.0] * (m - 1) + [-1.0], [-1.0] + [1.0] * (m - 1)):
+            for c in (np.zeros(m), -np.zeros(m), np.where(np.arange(m) % 3, -0.0, 0.0)):
+                cases.append((_signed_zero_pieces(signs, c), [0.0], None))
+    rng = np.random.default_rng(25)
+    for f in [random_instance(2, 4, seed=1).oracle.pieces, random_instance(8, 16, seed=2).oracle.pieces,
+              two_step_worst_long(0.3).oracle.pieces, two_step_worst_small(0.05).oracle.pieces,
+              long_step_instance(20, 0.4).oracle.pieces]:
+        cases.append((f, np.zeros(f.dimension), None))
+        cases += [(f, x, k) for k, x in enumerate(rng.standard_normal((20, f.dimension)), 1)]
+    return cases
+
+
+@pytest.mark.parametrize("B,R", [(1.0, 1.0), (2.0, 3.0)], ids=["unit", "B2-R3"])
+def test_lean_oracle_query_is_the_reduce_formula_bit_for_bit(B, R):
+    """``plmax_query`` finds the maximum and its piece with an ``argmax`` of
+    its own reversed buffer and skips all-+0.0 intercepts; its answers and
+    errors are those of the reduce and the active band, bit for bit.  The
+    crafted points are dyadic, so R * x / R is x and each keeps its ties."""
+    for f, x, k in _oracle_cases():
+        x = R * np.array(x, dtype=np.float64)
+        query = core.plmax_query(f, B, R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _outcome(_formula_query, f, B, R, x, k)
+            assert _outcome(query, x, k) == expected == _outcome(query, x, k), (f, x, k)
+
+
 def test_unit_scale_binds_nothing_into_the_oracle():
     p = random_instance(4, 6, seed=2)
     assert scale_instance(p, 1.0, 1.0) is p

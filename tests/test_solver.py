@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -498,6 +500,76 @@ def test_trace_subgradients_are_the_copying_reference_bit_for_bit(p, N, own, ear
             assert first.tobytes() == second.tobytes() == expected.tobytes()
             assert not np.shares_memory(first, second)
             assert "answers" not in repr(trace)
+
+
+def _box_around_start(p, in_place):
+    """``p`` on the box spanned by its start and the origin, widened by 0.01,
+    which the steps leave: a clip into a fresh array, or in place into the
+    point the clip is given, which it returns."""
+    lo = np.minimum(p.x_start, 0.0) - 0.01
+    hi = np.maximum(p.x_start, 0.0) + 0.01
+
+    def clip(y):
+        return np.clip(y, lo, hi, out=y if in_place else None)
+
+    return replace(p, projection=clip)
+
+
+@pytest.mark.parametrize(
+    "p,N,early",
+    [
+        (_box_around_start(random_instance(5, 9, seed=3), in_place=False), 300, False),
+        (_box_around_start(random_instance(5, 9, seed=3), in_place=True), 300, False),
+        (_box_around_start(scale_instance(random_instance(4, 6, seed=5), 2.0, 3.0), True), 200, False),
+        (random_instance(5, 9, seed=3), 300, False),
+        (_hinge(), 4, True),
+        (_quiet_hinge(4), 4, True),
+    ],
+    ids=["box-fresh", "box-in-place", "box-in-place-B2-R3", "whole-space", "whole-space-stop",
+         "whole-space-stop-at-once"],
+)
+def test_in_place_steps_keep_the_trace_bit_for_bit(p, N, early):
+    """``run`` writes each step into the trace's next row and projects that
+    row: a projection returning a fresh array, one writing into its argument
+    and ``project_all``, also after an early stop, give the reference loop's
+    trace bit for bit, and the box projections do move some steps."""
+    for schedule in _all_schedules(N):
+        expected = _bits(_reference_run(p, schedule, N))
+        trace = run(p, schedule, N=N)
+        assert _bits(trace) == expected and expected[1] is early
+        if p.projection is not project_all:
+            free = run(replace(p, projection=project_all), schedule, N=N)
+            assert not np.array_equal(free.points, trace.points)
+
+
+@pytest.mark.parametrize(
+    "p", [random_instance(8, 16, seed=2), scale_instance(random_instance(8, 16, seed=2), 2.0, 3.0)],
+    ids=["unit", "B2-R3"],
+)
+def test_runs_in_four_threads_keep_the_serial_trace(p):
+    """Each ``run`` builds its own query, with its own buffers: four threads,
+    each running the instance itself and switching every microsecond, all
+    get the serial trace's bits."""
+    schedule, N = StepSchedule.constant_length(0.05), 2000
+    expected = _bits(run(p, schedule, N=N))
+    start, traces = threading.Barrier(4), [None] * 4
+
+    def worker(i):
+        start.wait()
+        traces[i] = run(p, schedule, N=N)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [_bits(trace) for trace in traces] == [expected] * 4
 
 
 @pytest.mark.parametrize(
