@@ -9,11 +9,13 @@ The package is organized around five pieces:
 * :mod:`subgradlab.solver` -- the projected subgradient loop with pluggable
   step schedules,
 * :mod:`subgradlab.worstcase` -- generators for instances that attain the
-  rates exactly,
+  rates exactly, and experiment cells: a method at (N, h) on its instance,
+  built by ``cell_instance`` and measured by ``cell``,
 * :mod:`subgradlab.certify` -- a numerical checker for the weighted
   telescoping inequality that drives the last-iterate bounds.
 
-``subgradlab.cli`` wires these into the ``subgradlab`` command.
+``subgradlab.cli`` only checks the flags of the ``subgradlab`` command and
+formats its rows; the cells and certify's trials are library calls.
 """
 
 from .certify import (
@@ -79,6 +81,8 @@ from .solver import (
 )
 from .worstcase import (
     abs_instance,
+    cell,
+    cell_instance,
     long_step_instance,
     random_instance,
     tightness_report,
@@ -116,6 +120,8 @@ __all__ = [
     "avg_gap",
     "best_gap",
     "best_iterate_bound",
+    "cell",
+    "cell_instance",
     "check_instance",
     "classical_lower_bound",
     "coefficients",

@@ -22,13 +22,11 @@ import json
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, NamedTuple
-
-import numpy as np
+from typing import Iterable
 
 from . import certify as certify_mod
-from . import rates, solver, worstcase
-from .core import ProblemInstance, scale_instance
+from . import rates, worstcase
+from .core import ProblemInstance
 from .errors import SubgradLabError
 
 COLUMNS = [
@@ -52,41 +50,6 @@ SLACK_FLOOR = -1e-9
 
 # Most step values one --h-grid may list; the list is built in memory.
 MAX_GRID_POINTS = 100_000
-
-
-class _Method(NamedTuple):
-    flag: str | None  # the `run` flag holding the step parameter
-    schedule: Callable[[int, Any], solver.StepSchedule]  # from (N, param)
-    rate: Callable[[int, Any], float] | None  # last-iterate rate per B*R
-
-
-_METHODS = {
-    "constant": _Method(
-        "h",
-        lambda N, h: solver.StepSchedule.constant_normalized(h),
-        lambda N, h: rates.constant_step_rate(N, h),
-    ),
-    "length": _Method(
-        "t",
-        lambda N, t: solver.StepSchedule.constant_length(t),
-        lambda N, t: rates.constant_length_rate(N, t),
-    ),
-    "optimal": _Method(
-        None,
-        lambda N, _: solver.StepSchedule.optimal_last_iterate(N),
-        lambda N, _: rates.optimal_method_rate(N),
-    ),
-    "optimal-length": _Method(
-        None,
-        lambda N, _: solver.StepSchedule.optimal_length(N),
-        lambda N, _: rates.optimal_method_rate(N),
-    ),
-    "custom": _Method(
-        None,
-        lambda N, steps: solver.StepSchedule.custom(steps),
-        None,
-    ),
-}
 
 
 class CliError(Exception):
@@ -143,75 +106,19 @@ def _custom_steps(args) -> list[float]:
 
 def _instance(args, N: int, h: float | None) -> ProblemInstance:
     """The ``--instance`` problem for a cell of horizon N and step h, at the
-    requested B and R.  ``worstcase`` picks the tight construction for the
-    cell's side of the knee."""
+    requested B and R, once the flags it reads are checked."""
     key = args.instance
-    if key == "worstcase":
-        key = "longstep" if h is not None and h > rates.knee(N) else "abs"
-    if key == "abs":
-        p = worstcase.abs_instance()
-    elif key == "longstep":
-        if h is None:
-            raise CliError("--instance longstep needs a step h (--h or --h-grid)")
-        p = worstcase.long_step_instance(N, h, scripted=args.method in ("constant", "length"))
-    elif key in ("lemma-i", "lemma-ii"):
-        if args.h2 is None:
-            raise CliError(f"--instance {key} requires --h2")
-        make = (
-            worstcase.two_step_worst_small
-            if key == "lemma-i"
-            else worstcase.two_step_worst_long
-        )
-        scripted = args.method == "custom" and N == 2 and args.steps_file is None
-        p = make(args.h2, scripted=scripted)
-    else:
-        p = worstcase.random_instance(args.dim, args.directions, seed=_check_seed(args.seed))
-    return scale_instance(p, args.B, args.R)
-
-
-def _cell_row(
-    args,
-    N: int,
-    param: float | None,
-    p: ProblemInstance,
-    schedule: solver.StepSchedule,
-    include_log_bound: bool,
-) -> dict:
-    trace = solver.run(p, schedule, N=N)
-    BR = p.B * p.R
-    lastg = solver.last_gap(trace, p)
-    bestg = solver.best_gap(trace, p)
-    extended = np.append(trace.steps, trace.steps[-1])
-    avgg = solver.avg_gap(trace, p, extended)
-    bound_best = solver.best_iterate_bound(extended, p.B, p.R)
-
-    rate = _METHODS[args.method].rate
-    bound_last = None if rate is None else BR * rate(N, param)
-
-    slacks = [bound_best - bestg]
-    if bound_last is not None:
-        slacks.append(bound_last - lastg)
-    row = {
-        "method": args.method,
-        "N": N,
-        "h": param,
-        "B": p.B,
-        "R": p.R,
-        "instance": args.instance,
-        "seed": args.seed,
-        "last_gap": lastg,
-        "best_gap": bestg,
-        "avg_gap": avgg,
-        "bound_last": bound_last,
-        "bound_best": bound_best,
-        "slack": math.nan if any(map(math.isnan, slacks)) else min(slacks),
-    }
-    if include_log_bound:
-        if param is not None and N >= 2:  # the constant-parameter methods
-            row["bound_log"] = BR * rates.weakened_rate_bounds(N, param).log_form
-        else:
-            row["bound_log"] = None
-    return row
+    if key == "longstep" and h is None:
+        raise CliError("--instance longstep needs a step h (--h or --h-grid)")
+    if key in ("lemma-i", "lemma-ii") and args.h2 is None:
+        raise CliError(f"--instance {key} requires --h2")
+    if key == "random":
+        _check_seed(args.seed)
+    return worstcase.cell_instance(
+        key, N, h, args.method, args.B, args.R, h2=args.h2,
+        own_steps=args.steps_file is not None, dim=args.dim, directions=args.directions,
+        seed=args.seed,
+    )
 
 
 def _report(args, cells: Iterable[tuple], columns: list[str]) -> int:
@@ -219,7 +126,11 @@ def _report(args, cells: Iterable[tuple], columns: list[str]) -> int:
     and return the exit status: 1, naming the worst cell on stderr, when the
     least slack is below ``SLACK_FLOOR * B * R`` or NaN, else 0."""
     with _open_out(args.out) as out:
-        rows = [_cell_row(args, *cell, "bound_log" in columns) for cell in cells]
+        rows = [  # the values naming a cell, then the fields of its Cell, as far as columns go
+            dict(zip(columns, (args.method, N, param, p.B, p.R, args.instance, args.seed,
+                               *worstcase.cell(p, args.method, N, param, schedule))))
+            for N, param, p, schedule in cells
+        ]
         _write_rows(rows, columns, args.format, out)
     # a NaN slack shows no bound holds: it counts as the least, and fails
     worst = min(rows, key=lambda row: -math.inf if math.isnan(row["slack"]) else row["slack"])
@@ -235,7 +146,7 @@ def _report(args, cells: Iterable[tuple], columns: list[str]) -> int:
 def _cmd_run(args) -> int:
     N = rates._validate_horizon(args.N)
     p = _instance(args, N, args.h)
-    method = _METHODS[args.method]
+    method = worstcase.METHODS[args.method]
     param = None if method.flag is None else getattr(args, method.flag)
     if method.flag is not None and param is None:
         raise CliError(f"--method {args.method} requires --{method.flag}")
@@ -274,13 +185,13 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     n_values = _parse_n_list(args.N_list)
-    has_step = _METHODS[args.method].flag is not None
+    has_step = worstcase.METHODS[args.method].flag is not None
     if has_step != (args.h_grid is not None):
         need = "needs" if has_step else "takes no"
         raise CliError(f"--method {args.method} {need} --h-grid")
     grid = _parse_grid(args.h_grid) if has_step else [None]
     rates._validate_scale(args.B, args.R)
-    make_schedule = _METHODS[args.method].schedule
+    make_schedule = worstcase.METHODS[args.method].schedule
     cells = (  # built lazily, after --out is open
         (N, h, _instance(args, N, h), make_schedule(N, h)) for N in n_values for h in grid
     )
@@ -339,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     run_p = sub.add_parser("run", help="run one method on one instance")
-    run_p.add_argument("--method", choices=_METHODS, required=True)
+    run_p.add_argument("--method", choices=worstcase.METHODS, required=True)
     run_p.add_argument("--N", type=int, required=True, help="iteration count")
     run_p.add_argument("--h", type=float, help="normalized step size (constant method)")
     run_p.add_argument("--t", type=float, help="normalized step length (length method)")
@@ -353,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep a grid of horizons and steps")
-    swept = [m for m in _METHODS if m != "custom"]
+    swept = [m for m in worstcase.METHODS if m != "custom"]
     sweep_p.add_argument("--method", choices=swept, default="constant")
     sweep_p.add_argument("--N-list", required=True, help="comma-separated horizons")
     sweep_p.add_argument("--h-grid", help="step grid as min:max:step")
@@ -368,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; cells run serially with the same output",
     )
     common(sweep_p)
-    sweep_p.set_defaults(func=_cmd_sweep)
+    sweep_p.set_defaults(func=_cmd_sweep, h2=None, steps_file=None)
 
     cert_p = sub.add_parser("certify", help="randomized inequality verification")
     cert_p.add_argument("--trials", type=int, required=True)

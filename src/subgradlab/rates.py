@@ -30,8 +30,7 @@ def _validate_horizon(N: int) -> int:
 
 
 def _validate_step(h: float, name: str = "h") -> float:
-    h = float(h)
-    if not math.isfinite(h) or h <= 0:
+    if h is None or not math.isfinite(h := float(h)) or h <= 0:
         raise StepOutOfRange(f"{name} must be a finite positive number, got {h}")
     return h
 

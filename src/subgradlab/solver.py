@@ -181,35 +181,38 @@ def run(
     hg = np.empty(p.dimension)
     terminated_early = False
 
-    for k in range(1, N + 1):
-        value, g, norm = query(x, k)
+    # An overflowing step leaves an infinite coordinate: a box projection clips
+    # it, else the next query raises its error, in place of numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, N + 1):
+            value, g, norm = query(x, k)
+            if norm > max_norm:
+                raise core.norm_above_B(norm, B)
+            values[k - 1] = value
+            answers.append(g)
+            if norm <= zero_norm:
+                terminated_early = True
+                values[k - 1 :] = value
+                for j in range(k, N + 1):
+                    steps[j - 1] = schedule.nominal_step(j, p)
+                points[k:] = x
+                answers += [g] * (N - k)
+                break
+            h_k = rule(k, B, R)
+            if by_length:
+                h_k /= norm
+            steps[k - 1] = h_k
+            row = points[k]
+            np.subtract(x, np.multiply(g, h_k, out=hg), out=row)
+            x = project(row)
+            if x is not row:
+                row[...] = x
+
+        value, g, norm = query(x, N + 1)
         if norm > max_norm:
             raise core.norm_above_B(norm, B)
-        values[k - 1] = value
+        values[N] = value
         answers.append(g)
-        if norm <= zero_norm:
-            terminated_early = True
-            values[k - 1 :] = value
-            for j in range(k, N + 1):
-                steps[j - 1] = schedule.nominal_step(j, p)
-            points[k:] = x
-            answers += [g] * (N - k)
-            break
-        h_k = rule(k, B, R)
-        if by_length:
-            h_k /= norm
-        steps[k - 1] = h_k
-        row = points[k]
-        np.subtract(x, np.multiply(g, h_k, out=hg), out=row)
-        x = project(row)
-        if x is not row:
-            row[...] = x
-
-    value, g, norm = query(x, N + 1)
-    if norm > max_norm:
-        raise core.norm_above_B(norm, B)
-    values[N] = value
-    answers.append(g)
 
     return RunTrace(
         values=values,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -26,11 +27,14 @@ from .rates import (
     RateReport,
     _validate_horizon,
     _validate_step,
+    constant_length_rate,
     constant_step_rate,
     knee,
+    optimal_method_rate,
+    weakened_rate_bounds,
 )
 from .sequences import iter_s
-from .solver import StepSchedule, last_gap, run
+from .solver import StepSchedule, avg_gap, best_gap, best_iterate_bound, last_gap, run
 
 
 def abs_instance(B: float = 1.0, R: float = 1.0) -> ProblemInstance:
@@ -117,8 +121,7 @@ def two_step_worst_small(h2: float, scripted: bool = True) -> ProblemInstance:
     piece, after which the second step h2 <= 1/(8 sqrt 2) can only shave h2
     off the gap: the final gap is exactly 1/sqrt(2) - h2.
     """
-    h2 = float(h2)
-    if not math.isfinite(h2) or not 0.0 < h2 <= TWO_STEP_KNEE:
+    if h2 is None or not math.isfinite(h2 := float(h2)) or not 0.0 < h2 <= TWO_STEP_KNEE:
         raise StepOutOfRange(
             f"this construction covers 0 < h2 <= {TWO_STEP_KNEE:.6g}, got {h2}"
         )
@@ -149,8 +152,7 @@ def two_step_worst_long(h2: float, scripted: bool = True) -> ProblemInstance:
 
     the long branch of ``two_step_worst_gap``.
     """
-    h2 = float(h2)
-    if not math.isfinite(h2) or h2 <= TWO_STEP_KNEE:
+    if h2 is None or not math.isfinite(h2 := float(h2)) or h2 <= TWO_STEP_KNEE:
         raise StepOutOfRange(
             f"this construction covers h2 > {TWO_STEP_KNEE:.6g}, got {h2}"
         )
@@ -253,26 +255,104 @@ def random_instance(
     )
 
 
+class Method(NamedTuple):
+    flag: str | None  # the `run` flag holding the step parameter
+    schedule: Callable[[int, Any], StepSchedule]  # from (N, param)
+    rate: Callable[[int, Any], float] | None  # last-iterate rate per B*R, from (N, param)
+
+
+# The step-size methods a cell runs, by name.
+METHODS = {
+    "constant": Method("h", lambda N, h: StepSchedule.constant_normalized(h),
+                       lambda N, h: constant_step_rate(N, h)),
+    "length": Method("t", lambda N, t: StepSchedule.constant_length(t),
+                     lambda N, t: constant_length_rate(N, t)),
+    "optimal": Method(None, lambda N, _: StepSchedule.optimal_last_iterate(N),
+                      lambda N, _: optimal_method_rate(N)),
+    "optimal-length": Method(None, lambda N, _: StepSchedule.optimal_length(N),
+                             lambda N, _: optimal_method_rate(N)),
+    "custom": Method(None, lambda N, steps: StepSchedule.custom(steps), None),
+}
+
+
+def cell_instance(
+    key: str, N: int, h: float | None, method: str, B: float = 1.0, R: float = 1.0, *,
+    h2: float | None = None, own_steps: bool = False, dim: int | None = None,
+    directions: int | None = None, seed=0,
+) -> ProblemInstance:
+    """The instance on which a cell of horizon N and step h runs ``method``,
+    scaled to (B, R): ``key`` is ``abs``, ``longstep``, ``lemma-i`` or ``lemma-ii``
+    (second step ``h2``), ``random`` (``dim``, ``directions``, ``seed``) or
+    ``worstcase``, which is ``longstep`` for an h past the knee, else ``abs``.
+    Long-step pieces are scripted for ``constant`` and ``length``, whose rate
+    they attain; two-step pieces for ``custom`` at N = 2 on the canonical
+    schedule, not ``own_steps``."""
+    if key == "worstcase":
+        key = "longstep" if h is not None and h > knee(N) else "abs"
+    if key == "abs":
+        p = abs_instance()
+    elif key == "longstep":
+        p = long_step_instance(N, h, scripted=method in ("constant", "length"))
+    elif key in ("lemma-i", "lemma-ii"):
+        make = two_step_worst_small if key == "lemma-i" else two_step_worst_long
+        p = make(h2, scripted=method == "custom" and N == 2 and not own_steps)
+    elif key == "random":
+        p = random_instance(dim, directions, seed=seed)
+    else:
+        raise ValueError(f"unknown instance {key!r}")
+    return scale_instance(p, B, R)
+
+
+class Cell(NamedTuple):
+    """A cell's measured columns at the instance's B and R, as a sweep row ends."""
+
+    last_gap: float
+    best_gap: float
+    avg_gap: float
+    bound_last: float | None  # None for a method without a rate
+    bound_best: float
+    slack: float  # the least bound minus its gap; NaN if either is NaN
+    bound_log: float | None  # the weakened log form, for a step parameter and N >= 2
+
+
+def cell(p: ProblemInstance, method: str, N: int, param, schedule: StepSchedule) -> Cell:
+    """Run N steps of ``schedule`` on ``p`` and measure the cell against the
+    bounds of ``METHODS[method]`` at ``param``."""
+    trace = run(p, schedule, N=N)
+    BR = p.B * p.R
+    lastg = last_gap(trace, p)
+    bestg = best_gap(trace, p)
+    extended = np.append(trace.steps, trace.steps[-1])
+    avgg = avg_gap(trace, p, extended)
+    bound_best = best_iterate_bound(extended, p.B, p.R)
+
+    rate = METHODS[method].rate
+    bound_last = None if rate is None else BR * rate(N, param)
+    slacks = [bound_best - bestg]
+    if bound_last is not None:
+        slacks.append(bound_last - lastg)
+    slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
+    has_log = param is not None and N >= 2  # the constant-parameter methods
+    bound_log = BR * weakened_rate_bounds(N, param).log_form if has_log else None
+    return Cell(lastg, bestg, avgg, bound_last, bound_best, slack, bound_log)
+
+
 def tightness_report(N: int, h: float) -> RateReport:
     """Run the branch-appropriate worst case and compare with the formula.
 
-    Picks the straight-line instance for h at or below the knee and the
-    long-step construction past it, runs N constant normalized steps h from
-    the canonical start, and reports predicted versus observed final gap.
-    The two numbers agree to rounding; any daylight between them means a
-    bug in either the formula or the construction.
+    Runs N constant normalized steps h from the canonical start of the
+    ``worstcase`` cell instance, the straight-line instance for h at or
+    below the knee and the long-step construction past it, and reports
+    predicted versus observed final gap.  The two numbers agree to
+    rounding; any daylight between them means a bug in either the formula
+    or the construction.
     """
     predicted = constant_step_rate(N, h)  # validates N and h
-    if h <= knee(N):
-        instance = abs_instance()
-        regime = "short_step"
-    else:
-        instance = long_step_instance(N, h)
-        regime = "long_step"
+    instance = cell_instance("worstcase", N, h, "constant")
     trace = run(instance, StepSchedule.constant_normalized(h), N=N)
     return RateReport(
         N=N,
-        regime=regime,
+        regime="short_step" if instance.name == "abs" else "long_step",
         predicted_bound=predicted,
         observed_gap=last_gap(trace, instance),
     )

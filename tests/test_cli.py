@@ -187,7 +187,7 @@ def test_grid_limit_is_inclusive():
 )
 def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv, target):
     runs = []
-    monkeypatch.setattr(cli.solver, "run", lambda *a, **kw: runs.append(a))
+    monkeypatch.setattr(worstcase, "run", lambda *a, **kw: runs.append(a))
     code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / target))
     assert code == 2
     assert out == ""
@@ -289,10 +289,10 @@ def test_huge_steps_give_a_finite_bound(capsys):
 @pytest.mark.parametrize("bound", ["best", "last"])
 def test_a_nan_slack_exits_one(capsys, monkeypatch, bound):
     if bound == "best":
-        monkeypatch.setattr(cli.solver, "best_iterate_bound", lambda *args: math.nan)
+        monkeypatch.setattr(worstcase, "best_iterate_bound", lambda *args: math.nan)
     else:
-        broken = cli._METHODS["optimal"]._replace(rate=lambda N, h: math.nan)
-        monkeypatch.setitem(cli._METHODS, "optimal", broken)
+        broken = worstcase.METHODS["optimal"]._replace(rate=lambda N, h: math.nan)
+        monkeypatch.setitem(worstcase.METHODS, "optimal", broken)
     code, out, err = invoke(capsys, "sweep", "--instance", "abs", "--method", "optimal",
                             "--N-list", "2,3")
     assert code == 1
@@ -315,8 +315,8 @@ def test_violated_bound_exits_one_and_still_writes_rows(
     capsys, monkeypatch, argv, message, n_rows
 ):
     if message is not None:
-        broken = cli._METHODS["constant"]._replace(rate=lambda N, h: -1.0)
-        monkeypatch.setitem(cli._METHODS, "constant", broken)
+        broken = worstcase.METHODS["constant"]._replace(rate=lambda N, h: -1.0)
+        monkeypatch.setitem(worstcase.METHODS, "constant", broken)
     code, out, err = invoke(capsys, *argv)
     header, rows = parse_csv(out)
     assert header[: len(COLUMNS)] == COLUMNS
@@ -508,17 +508,21 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def _entry_env():
+    """The environment for ``python -m subgradlab`` on this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_a_reader_closing_stdout_ends_the_command_quietly():
     """``head -1`` on a sweep of about 150 KB, more than a pipe holds: the
     entry point ends with status 141, not 1 ("bound violated") or 2, and
     prints no traceback."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["sweep", "--instance", "abs", "--method", "constant", "--N-list", "1",
             "--h-grid", "0.001:0.999:0.001"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "subgradlab", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_entry_env(),
     )
     assert proc.stdout.readline().startswith(b"method,N,h,")
     proc.stdout.close()
@@ -726,9 +730,27 @@ def test_an_overflowing_run_exits_two_with_a_message(tmp_path, capsys):
     # steps of 1.7e308 on 2|x| overflow x to -inf, where the maximum is +inf
     steps = tmp_path / "steps.txt"
     steps.write_text("1.7e308 1.7e308 1.7e308\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = invoke(capsys, "run", "--instance", "abs", "--method", "custom",
-                                "--N", "3", "--steps-file", str(steps), "--B", "2")
+    code, out, err = invoke(capsys, "run", "--instance", "abs", "--method", "custom",
+                            "--N", "3", "--steps-file", str(steps), "--B", "2")
     assert (code, out) == (2, "")
     assert err == ("error: iteration 2: no piece is active at the queried point, "
                    "where the maximum is inf\n")
+
+
+@pytest.mark.parametrize("R", ["1", "3"])
+@pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["plain", "W-error"])
+def test_an_overflowing_run_prints_one_error_line_through_the_entry_point(
+    tmp_path, flags, R
+):
+    """No numpy overflow warning before the error line, and under ``-W error``
+    no traceback with status 1, the "bound violated" status."""
+    steps = tmp_path / "steps.txt"
+    steps.write_text("1.7e308 1.7e308 1.7e308\n")
+    argv = ["run", "--instance", "abs", "--method", "custom", "--N", "3",
+            "--steps-file", str(steps), "--B", "2", "--R", R]
+    proc = subprocess.run([sys.executable, *flags, "-m", "subgradlab", *argv],
+                          capture_output=True, text=True, env=_entry_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: iteration 2: no piece is active at the queried point, "
+                           "where the maximum is inf\n")

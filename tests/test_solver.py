@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -29,6 +30,7 @@ from subgradlab import (
     last_gap,
     project_all,
     project_ball,
+    project_box,
     run,
     scale_instance,
 )
@@ -513,6 +515,19 @@ def _box_around_start(p, in_place):
         return np.clip(y, lo, hi, out=y if in_place else None)
 
     return replace(p, projection=clip)
+
+
+@pytest.mark.parametrize("R", [1.0, 3.0])
+def test_an_overflowing_step_is_clipped_like_a_huge_finite_one(R):
+    """Steps of 1.7e308 on 2|x| overflow x - h g to -inf, then +inf, without
+    a numpy warning; the box clips each to the face a step of 1e307 reaches."""
+    p = replace(abs_instance(B=2.0, R=R), projection=project_box([-R], [R]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = run(p, StepSchedule.custom([1.7e308] * 3), N=3)
+    finite = run(p, StepSchedule.custom([1e307] * 3), N=3)
+    assert huge.points.tolist() == finite.points.tolist() == [[R], [-R], [R], [-R]]
+    assert huge.values.tolist() == finite.values.tolist()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,14 @@ from subgradlab import (
     run,
     two_step_worst_gap,
 )
-from subgradlab.rates import TWO_STEP_KNEE
+from subgradlab.rates import TWO_STEP_FIRST, TWO_STEP_KNEE
 from subgradlab.sequences import s
 from subgradlab.worstcase import (
+    METHODS,
+    Cell,
     abs_instance,
+    cell,
+    cell_instance,
     long_step_instance,
     random_instance,
     tightness_report,
@@ -236,3 +242,60 @@ def test_long_step_slopes_match_scalar_reference(N):
             pieces = long_step_instance(N, h, scripted=scripted).oracle.pieces
             assert np.array_equal(pieces.slopes, expected)
             assert np.array_equal(pieces.intercepts, np.zeros(N + 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: long_step_instance(5, None),
+        lambda: constant_step_rate(5, None),
+        lambda: two_step_worst_small(None),
+        lambda: two_step_worst_long(None),
+        lambda: cell_instance("longstep", 5, None, "constant"),
+    ],
+    ids=["long_step_instance", "constant_step_rate", "two_step_worst_small",
+         "two_step_worst_long", "cell_instance-longstep"],
+)
+def test_a_missing_step_raises_a_typed_error(call):
+    with pytest.raises(StepOutOfRange, match="got None$"):
+        call()
+
+
+# --- cells as library calls, against the CLI's golden rows ------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_rows(name):
+    with open(GOLDEN / name, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def _fields(measured, row):
+    """The measured columns that ``row`` has, as the CLI's CSV prints them."""
+    return {k: "" if v is None else repr(v) for k, v in measured._asdict().items() if k in row}
+
+
+def test_sweep_cells_are_library_calls():
+    """Every cell of the scaled worst-case sweep, built by ``cell_instance``
+    and measured by ``cell`` without argv, gives the golden row's fields."""
+    rows = _golden_rows("sweep_worstcase_constant_scaled.csv")
+    assert len(rows) == 4 * 30
+    for row in rows:
+        N, h = int(row["N"]), float(row["h"])
+        p = cell_instance("worstcase", N, h, "constant", 2.0, 0.5)
+        measured = cell(p, "constant", N, h, METHODS["constant"].schedule(N, h))
+        assert (repr(p.B), repr(p.R)) == (row["B"], row["R"])
+        assert _fields(measured, row) == {k: row[k] for k in Cell._fields}
+
+
+def test_a_run_cell_is_a_library_call():
+    """``run --instance lemma-ii --method custom --N 2 --h2 0.3 --B 2 --R 3``:
+    the canonical two-step schedule at (B, R), on the scripted instance."""
+    (row,) = _golden_rows("run_lemma_ii_custom_scaled.csv")
+    B, R, h2 = 2.0, 3.0, 0.3
+    p = cell_instance("lemma-ii", 2, None, "custom", B, R, h2=h2)
+    schedule = METHODS["custom"].schedule(2, [TWO_STEP_FIRST * R / B, h2 * R / B])
+    measured = cell(p, "custom", 2, None, schedule)
+    assert measured.bound_log is None and "bound_log" not in row
+    assert _fields(measured, row) == {k: row[k] for k in Cell._fields[:-1]}
