@@ -160,39 +160,42 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
     does not depend on (B, R).  Each field of a scaled answer is the unit
     field times its scale: value by B * R, subgradient and norm by B.  A
     scale of 1.0 is skipped, which keeps every bit (x / 1.0 == x), so with
-    B == 1.0 the subgradient is a view of the chosen row of ``f.slopes``.  The
-    pieces, script and scales are bound once, and each piece's (g, norm), the
-    norm read from ``f.slope_norms``, is kept, g read-only, in a memo local to
-    the returned function, so a write into an answer raises instead of
-    changing the slopes or a trace that keeps it.  ``x`` must be a float64 array.
+    B == 1.0 the subgradient is a row of a read-only view of ``f.slopes``
+    made once, which leaves ``f.slopes`` writable.  The pieces, script and
+    scales are bound once, and each piece's (g, norm), the norm read from
+    ``f.slope_norms``, is kept, g read-only, in a memo local to the returned
+    function, so a write into an answer raises instead of changing the
+    slopes or a trace that keeps it.  ``x`` must be a float64 array.
 
     The function owns buffers for the M piece values and x / R, so it serves
     one ``run`` at a time and no two threads.  All-+0.0 intercepts are not
     added: that add only turns -0.0 into +0.0, which no comparison sees.  The
-    maximum, read at its last index, has the bits of ``np.maximum.reduce``.
+    maximum, read at its first index, has the bits of ``np.maximum.reduce``.
     """
-    dot, intercepts, slopes, norms = f.slopes.dot, f.intercepts, f.slopes, f.slope_norms
+    dot, intercepts, norms = f.slopes.dot, f.intercepts, f.slope_norms
+    slopes = f.slopes.view()  # read-only rows, without flipping the caller's array
+    slopes.flags.writeable = False
     script = f.scripted_choices or {}
-    BR = B * R
+    BR, R0 = B * R, np.array(R)  # a 0-d operand: less ufunc overhead than a float, same bits
     memo = [None] * len(intercepts)
     vals, y, last = np.empty(len(intercepts)), np.empty(f.dimension), len(intercepts) - 1
-    rev, add = vals[::-1], intercepts.view(np.int64).any()  # False when all are +0.0
+    add = intercepts.view(np.int64).any()  # False when all are +0.0
 
     def query(x, k=None):
-        dot(x if R == 1.0 else np.divide(x, R, out=y), out=vals)  # the gemv of `@`
+        dot(x if R == 1.0 else np.divide(x, R0, out=y), out=vals)  # the gemv of `@`
         if add:
             np.add(vals, intercepts, out=vals)
-        top = last - rev.argmax()  # the last index of the maximum, or of a NaN
+        top = vals.argmax()  # the first index of the maximum, or of a NaN
         fmax = vals.item(top)
         if fmax == 0.0:  # +0.0 after a skipped add, else the sign the reduce picks on a tie
             fmax = float(np.maximum.reduce(vals)) if add else 0.0
         threshold = active_threshold(fmax)
         if k in script:
             piece = script[k]
-            if vals[piece] < threshold:
+            if vals.item(piece) < threshold:
                 raise ScriptedPieceInactive(
                     f"iteration {k} is scripted to piece {piece}, but that piece is "
-                    f"{fmax - vals[piece]:.3e} below the maximum at the queried point"
+                    f"{fmax - vals.item(piece):.3e} below the maximum at the queried point"
                 )
         elif math.isnan(threshold):  # a NaN or +inf maximum leaves no piece in the band
             raise ValueError(
@@ -207,9 +210,11 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
                     piece = top + 1 + (tail >= threshold).nonzero()[0][-1]
         answer = memo[piece]
         if answer is None:
-            row, norm = slopes[piece], float(norms[piece])
-            answer = memo[piece] = (row, norm) if B == 1.0 else (B * row, B * norm)
-            answer[0].flags.writeable = False
+            g, norm = slopes[piece], norms.item(piece)
+            if B != 1.0:
+                g, norm = B * g, B * norm
+                g.flags.writeable = False
+            answer = memo[piece] = (g, norm)
         g, norm = answer
         return BR * fmax, g, norm
 
@@ -421,15 +426,15 @@ def check_instance(p: ProblemInstance, pairs: int = 1000, seed: int = 0) -> None
     Checks, for each pair (x, y) obtained by projecting random samples:
 
       * the subgradient inequality f(y) >= f(x) + <g(x), y - x> up to
-        1e-9 * max(1, B * R),
-      * values never drop below f_star - 1e-12 * max(1, B * R),
+        1e-9 * B * R,
+      * values never drop below f_star - 1e-12 * B * R,
       * subgradient norms stay within B (enforced by ``evaluate``),
       * repeated queries at the same point return identical samples.
 
     Raises ``ValueError`` on the first violation.
     """
     rng = np.random.default_rng(seed)
-    scale = max(1.0, p.B * p.R)
+    scale = p.B * p.R
     center = p.x_star if p.x_star is not None else np.zeros(p.dimension)
     floor = p.f_star - 1e-12 * scale
     for i in range(pairs):

@@ -79,7 +79,12 @@ def constant_step_rate(N: int, h: float) -> float:
     """
     N = _validate_horizon(N)
     h = _validate_step(h)
-    s2 = s(1.0, N + 1) ** 2
+    return _constant_step_rate(N, h, s(1.0, N + 1))
+
+
+def _constant_step_rate(N: int, h: float, sN1: float) -> float:
+    """``constant_step_rate`` for a valid N and h, given sN1 = s_{N+1}."""
+    s2 = sN1**2
     if h <= 1.0 / s2:
         return 1.0 - N * h
     return (0.5 * s2 - N) * h + 1.0 / (2.0 * s2 * h)
@@ -96,10 +101,14 @@ def optimal_constant_step(N: int) -> OptimalConstantStep:
     h* = 1 / (s_{N+1} sqrt(s_{N+1}^2 - 2N)) with value sqrt(1 - 2N / s_{N+1}^2).
     """
     N = _validate_horizon(N)
-    sN1 = s(1.0, N + 1)
+    return _optimal_constant_step(N, s(1.0, N + 1))
+
+
+def _optimal_constant_step(N: int, sN1: float) -> OptimalConstantStep:
+    """``optimal_constant_step`` for a valid N, given sN1 = s_{N+1}."""
     h_star = 1.0 / (sN1 * math.sqrt(sN1 * sN1 - 2.0 * N))
     rate = math.sqrt(1.0 - 2.0 * N / (sN1 * sN1))
-    if abs(constant_step_rate(N, h_star) - rate) > 1e-12 * max(1.0, rate):
+    if abs(_constant_step_rate(N, h_star, sN1) - rate) > 1e-12 * max(1.0, rate):
         raise InvariantViolation(f"h*={h_star} misses the optimal rate {rate} for N={N}")
     return OptimalConstantStep(h_star, rate)
 
@@ -117,18 +126,19 @@ def weakened_rate_bounds(N: int, h: float) -> WeakenedRateBounds:
 
     The first dominates the long-step branch of ``constant_step_rate``, the
     second dominates the optimal constant-step rate; both facts are checked
-    on every call.
+    on every call, with s_{N+1} computed once.
     """
     N = _validate_horizon(N)
     if N < 2:
         raise ValueError(f"the weakened forms are stated for N >= 2, got {N}")
     h = _validate_step(h)
+    sN1 = s(1.0, N + 1)
     quarter_log = 0.25 * math.log(N)
     log_form = (1.0 + quarter_log) * h + 1.0 / (4.0 * (N + 1) * h)
     optimal_log_form = math.sqrt(1.0 + quarter_log) / math.sqrt(N + 1)
-    if h > knee(N) and constant_step_rate(N, h) > log_form + 1e-12:
+    if h > 1.0 / sN1**2 and _constant_step_rate(N, h, sN1) > log_form + 1e-12:
         raise InvariantViolation(f"log form {log_form} is below the rate at N={N}, h={h}")
-    if optimal_constant_step(N).rate > optimal_log_form + 1e-12:
+    if _optimal_constant_step(N, sN1).rate > optimal_log_form + 1e-12:
         raise InvariantViolation(f"optimal log form {optimal_log_form} is too low at N={N}")
     return WeakenedRateBounds(log_form, optimal_log_form)
 

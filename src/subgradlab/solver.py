@@ -109,8 +109,10 @@ class RunTrace:
     ``values`` holds f(x^1) .. f(x^{N+1}), ``steps`` the N step sizes
     actually applied and ``points`` the (N+1) x dim array of iterates.
     ``answers`` keeps the oracle answers g^1 .. g^{N+1} by reference, the
-    last one queried at x^{N+1} with iteration index N+1; ``subgradients``
-    stacks them into a fresh (N+1) x dim float64 array on each read.
+    last one queried at x^{N+1} with iteration index N+1, a piecewise one
+    read-only and shared by the iterations that chose its piece;
+    ``subgradients`` stacks them into a fresh (N+1) x dim float64 array on
+    each read.
     """
 
     values: np.ndarray
@@ -147,6 +149,8 @@ def run(
     keeps by reference, else the oracle itself, with each answer copied.
     Each step writes x - h_k g into the trace's next row and projects that
     row, copying back a result that is another array (an oracle must not write to x).
+    h_k reaches the multiply as a 0-d array, which numpy takes with less
+    overhead than a float and rounds to the same bits.
     """
     if N is None:
         if schedule.N is None:
@@ -178,7 +182,7 @@ def run(
     points = np.empty((N + 1, p.dimension))
     answers = []
     points[0] = x
-    hg = np.empty(p.dimension)
+    hg, h0 = np.empty(p.dimension), np.empty(())
     terminated_early = False
 
     # An overflowing step leaves an infinite coordinate: a box projection clips
@@ -201,9 +205,9 @@ def run(
             h_k = rule(k, B, R)
             if by_length:
                 h_k /= norm
-            steps[k - 1] = h_k
+            steps[k - 1] = h0[()] = h_k
             row = points[k]
-            np.subtract(x, np.multiply(g, h_k, out=hg), out=row)
+            np.subtract(x, np.multiply(g, h0, out=hg), out=row)
             x = project(row)
             if x is not row:
                 row[...] = x
@@ -319,7 +323,7 @@ def step_together(batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length
 
 def _settle_gap(raw: float, p: ProblemInstance) -> float:
     """Clamp the tiny negative gaps float arithmetic can produce to zero."""
-    tol = 1e-12 * max(1.0, p.B * p.R)
+    tol = 1e-12 * p.B * p.R
     if raw < -tol:
         raise ValueError(
             f"gap {raw} is more negative than rounding can explain; "

@@ -198,9 +198,15 @@ def _oracle_cases():
         # pieces tied exactly at the maximum, the last tie before or at the end
         (PiecewiseLinearMax([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0]], np.zeros(4)), [1.0, 0.5], None),
         (PiecewiseLinearMax([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], np.zeros(3)), [1.0, 0.25], None),
+        # maxima tied at the first and at the last index, all or two of them
+        (PiecewiseLinearMax(np.ones((3, 1)), np.zeros(3)), [1.0], None),
+        (PiecewiseLinearMax([[1.0], [0.5], [0.25], [1.0]], [0.5, 0.0, 0.0, 0.5]), [1.0], None),
         # pieces within ACTIVE_TOL before and after the last maximum
         (near, [1.0], None),
         (PiecewiseLinearMax(np.ones((4, 1)), [-tol, 0.0, -tol, -1.0]), [1.0], None),
+        # a piece just after the first maximum, inside and just outside ACTIVE_TOL
+        (PiecewiseLinearMax([[1.0], [1.0 - tol], [0.5]], np.zeros(3)), [1.0], None),
+        (PiecewiseLinearMax([[1.0], [1.0 - 10 * tol], [0.5]], np.full(3, 0.25)), [1.0], None),
         # intercepts all +0.0, all -0.0 and of mixed sign, at a zero maximum
         (PiecewiseLinearMax([[-1.0]], [0.0]), [0.0], None),
         (PiecewiseLinearMax([[-1.0]], [-0.0]), [0.0], None),
@@ -237,7 +243,8 @@ def _oracle_cases():
 @pytest.mark.parametrize("B,R", [(1.0, 1.0), (2.0, 3.0)], ids=["unit", "B2-R3"])
 def test_lean_oracle_query_is_the_reduce_formula_bit_for_bit(B, R):
     """``plmax_query`` finds the maximum and its piece with an ``argmax`` of
-    its own reversed buffer and skips all-+0.0 intercepts; its answers and
+    its own buffer, which gives the first index of the maximum, then a scan
+    of the pieces after it, and skips all-+0.0 intercepts; its answers and
     errors are those of the reduce and the active band, bit for bit.  The
     crafted points are dyadic, so R * x / R is x and each keeps its ties."""
     for f, x, k in _oracle_cases():
@@ -310,22 +317,31 @@ def test_run_copies_every_point_and_subgradient(scale):
 
 @pytest.mark.parametrize("B", [1.0, 2.0], ids=["unit", "scaled"])
 def test_oracle_answers_are_read_only(B):
-    """A piecewise answer is the oracle's own row (a view of the slopes at
-    B = 1), so a write into it raises and leaves the slopes as they were;
-    the stacked ``trace.subgradients`` is a fresh, writable copy."""
-    p = scale_instance(random_instance(3, 5, seed=8), B, 1.0)
-    slopes = p.oracle.pieces.slopes
-    before = slopes.copy()
-    g = p.evaluate(p.x_start).subgradient
-    with pytest.raises(ValueError, match="read-only"):
-        g[0] = 5.0
-    trace = run(p, StepSchedule.constant_normalized(0.1), N=6)
-    with pytest.raises(ValueError, match="read-only"):
-        trace.answers[0][0] = 5.0
-    stacked = trace.subgradients
-    stacked[:] = 5.0
-    assert np.array_equal(slopes, before)
-    assert not (trace.subgradients == 5.0).any()
+    """A piecewise answer is the oracle's own row (a row of a read-only view
+    of the slopes at B = 1), so a write into it raises and leaves the slopes
+    as they were; the stacked ``trace.subgradients`` is a fresh, writable
+    copy.  A scripted long-step run chooses a new piece at every iteration,
+    so each of its answers is a memo miss.  The caller's slopes stay
+    writable."""
+    for unit, h, N in [(random_instance(3, 5, seed=8), 0.1, 6), (long_step_instance(20, 0.4), 0.4, 20)]:
+        p = scale_instance(unit, B, 1.0)
+        slopes = p.oracle.pieces.slopes
+        before = slopes.copy()
+        core.plmax_query(p.oracle.pieces, B)
+        assert slopes.flags.writeable
+        g = p.evaluate(p.x_start).subgradient
+        with pytest.raises(ValueError, match="read-only"):
+            g[0] = 5.0
+        trace = run(p, StepSchedule.constant_normalized(h), N=N)
+        if p.oracle.pieces.scripted_choices:
+            assert len({id(answer) for answer in trace.answers}) == N + 1
+        for answer in trace.answers:
+            with pytest.raises(ValueError, match="read-only"):
+                answer[0] = 5.0
+        stacked = trace.subgradients
+        stacked[:] = 5.0
+        assert np.array_equal(slopes, before) and slopes.flags.writeable
+        assert not (trace.subgradients == 5.0).any()
 
 
 def test_pieces_validation():
@@ -551,6 +567,28 @@ def test_check_instance_catches_concavity():
     )
     with pytest.raises(ValueError):
         check_instance(p, pairs=200, seed=0)
+
+
+def test_rounding_tolerances_give_one_verdict_at_any_scale():
+    """``check_instance``'s floor and the gaps' clamp scale with B * R, also
+    below 1: an f_star declared 5e-12 above the true minimum 0 is refused,
+    and one 5e-13 above is taken as rounding, unit and at B = R = 1e-3."""
+    from subgradlab import best_gap, last_gap
+
+    flat = PiecewiseLinearMax([[1.0], [-1.0], [0.0]], [-1.0, -1.0, 0.0])  # 0 on [-1, 1]
+    for excess, refused in [(5e-12, True), (5e-13, False)]:
+        unit = instance_from_pieces(flat, f_star=excess, x_star=[0.0], x_start=[1.0], B=1.0, R=1.0)
+        for B, R in [(1.0, 1.0), (1e-3, 1e-3)]:
+            p = scale_instance(unit, B, R)
+            trace = run(p, StepSchedule.constant_normalized(0.5), N=3)
+            for check in (partial(check_instance, p, 100), partial(last_gap, trace, p),
+                          partial(best_gap, trace, p)):
+                try:
+                    check()
+                    verdict = False
+                except ValueError:
+                    verdict = True
+                assert verdict == refused, (excess, B, R, check.func.__name__)
 
 
 finite_points = hnp.arrays(

@@ -97,6 +97,47 @@ def test_weakened_needs_horizon_two():
         weakened_rate_bounds(1, 0.2)
 
 
+def _rates_by_formula(N, h):
+    """knee, the rate at h, the optimal step and its rate, and the weakened
+    forms, written out from s_{N+1} as the docstrings state them."""
+    sN1 = s(1.0, N + 1)
+    s2 = sN1**2
+    rate = 1.0 - N * h if h <= 1.0 / s2 else (0.5 * s2 - N) * h + 1.0 / (2.0 * s2 * h)
+    h_star = 1.0 / (sN1 * math.sqrt(sN1 * sN1 - 2.0 * N))
+    quarter_log = 0.25 * math.log(N)
+    return (
+        1.0 / s2, rate, h_star, math.sqrt(1.0 - 2.0 * N / (sN1 * sN1)),
+        (1.0 + quarter_log) * h + 1.0 / (4.0 * (N + 1) * h),
+        math.sqrt(1.0 + quarter_log) / math.sqrt(N + 1),
+    )
+
+
+def test_each_rate_call_walks_s_once(monkeypatch):
+    """Every rate formula on s_{N+1} takes it from one ``s`` call, and keeps
+    the bits of the formula written out, for N = 2..300 at several h."""
+    from subgradlab import rates
+
+    walks = []
+    monkeypatch.setattr(rates, "s", lambda alpha, k: walks.append(k) or s(alpha, k))
+
+    def once(call, *args):
+        walks.clear()
+        value = call(*args)
+        assert walks == [args[0] + 1], (call.__name__, args)
+        return value
+
+    for N in range(2, 301):
+        for h in (0.003, 0.05, 0.1, 0.3, 0.6, 1.0):
+            opt = once(optimal_constant_step, N)
+            got = (
+                once(knee, N), once(constant_step_rate, N, h), *opt,
+                *once(weakened_rate_bounds, N, h),
+            )
+            assert got == _rates_by_formula(N, h), (N, h)
+            assert once(constant_length_rate, N, h) == got[1]
+            assert once(constant_step_rate, N, opt.h_star) == _rates_by_formula(N, opt.h_star)[1]
+
+
 def test_length_rate_matches_step_rate():
     for N, t, expected in FROZEN:
         assert constant_length_rate(N, t) == pytest.approx(expected, abs=1e-12)
