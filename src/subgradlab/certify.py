@@ -274,19 +274,19 @@ def matching_alpha(N: int, h: float, tol: float = 1e-12) -> float:
 
 # --- the inequality on random trials, in chunks -------------------------------
 
-# Bytes of lock-step state a chunk of trials may hold.
-CERTIFY_CHUNK_BYTES = 1 << 20
+# Bytes a chunk of trials may hold, chosen by timing trial_slacks at N = 5 .. 3000.
+CERTIFY_CHUNK_BYTES = 1 << 22
 
 # The largest dimension a trial draws, with up to 2 * dim directions.
 CERTIFY_MAX_DIM = 8
 
-# The trials' step schedules, in turn; each draws its parameter, then builds.
-_TRIAL_SCHEDULES: tuple[Callable[[np.random.Generator, int], StepSchedule], ...] = (
-    lambda rng, N: StepSchedule.constant_normalized(rng.uniform(0.05, 1.2)),
-    lambda rng, N: StepSchedule.constant_length(rng.uniform(0.05, 1.0)),
-    lambda rng, N: StepSchedule.optimal_last_iterate(N),
-    lambda rng, N: StepSchedule.optimal_length(N),
-    lambda rng, N: StepSchedule.custom(rng.uniform(0.02, 0.8, N)),
+# The trials' step schedules, in turn: a draw of the parameter, and the builder.
+_TRIAL_SCHEDULES: tuple[tuple[Callable, Callable[..., StepSchedule]], ...] = (
+    (lambda rng, N: rng.uniform(0.05, 1.2), StepSchedule.constant_normalized),
+    (lambda rng, N: rng.uniform(0.05, 1.0), StepSchedule.constant_length),
+    (lambda rng, N: N, StepSchedule.optimal_last_iterate),
+    (lambda rng, N: N, StepSchedule.optimal_length),
+    (lambda rng, N: rng.uniform(0.02, 0.8, N), StepSchedule.custom),
 )
 
 
@@ -298,46 +298,48 @@ def trial_slacks(
     at horizon N, in trial order.  Trial t draws from ``default_rng([seed,
     t])`` (see ``_draw``); ``reverse`` reverses its weights, which
     ``WeightSequence`` rejects.  A chunk that ``_certify_chunk`` hands back
-    runs trial by trial through ``_certify_trials``, with the same bits."""
+    runs trial by trial through ``_certify_trials``, with the same bits, and
+    so does a chunk of fewer than 3 trials, which ``run`` steps faster."""
     N = _validate_horizon(N)
     chunk = _chunk_trials(N)
     for first in range(0, len(trials), chunk):
         part = trials[first : first + chunk]
-        slacks = _certify_chunk(seed, part, N, reverse)
+        slacks = _certify_chunk(seed, part, N, reverse) if len(part) >= 3 else None
         if slacks is None:
             slacks = _certify_trials(seed, part, N, reverse)
         yield part, slacks
 
 
 def _chunk_trials(N: int) -> int:
-    """Trials per chunk at horizon N: as many as fit ``CERTIFY_CHUNK_BYTES``
-    at the largest shapes a trial draws (dimension ``CERTIFY_MAX_DIM``, four
-    times as many pieces), so memory does not grow with the trial count.  The
-    count allows each trial its instance twice and its trace three times,
-    plus about 2 KB of Python objects.  A chunk holds less: its pieces, on
-    their own and padded, its weight and lemma rows, and lock-step rows of
-    values, steps and chosen pieces, but no instance, trace, point or
-    subgradient.  The tracemalloc peak of ``certify --trials 1000`` is
-    0.28-0.50 MiB at N = 5, 10, 20, 50 and 100 (0.54-0.59 MiB with them)."""
-    d, m = CERTIFY_MAX_DIM, 4 * CERTIFY_MAX_DIM
-    trace = (N + 1) * (2 * d + 1) + N
-    instance = 2 * m * (d + 3) + 3 * d
-    return max(1, CERTIFY_CHUNK_BYTES // (8 * (3 * trace + instance) + 2048))
+    """Trials per chunk at horizon N: as many as fit ``CERTIFY_CHUNK_BYTES``,
+    so memory does not grow with the trial count.  A trial of a chunk holds
+    about 80 (N + 1) bytes of lock-step and lemma rows and 6 KiB of pieces
+    and Python objects (tracemalloc, per added trial, at N = 5 .. 3000), and
+    no instance, trace, point or subgradient.  The tracemalloc peak of
+    ``certify --trials 1000`` is 3.3-3.8 MiB at N = 5, 10, 20, 50 and 100."""
+    return max(1, CERTIFY_CHUNK_BYTES // (80 * (N + 1) + 6 * 1024))
 
 
-def _draw(seed: int, trial: int, N: int, build: Callable) -> tuple:
-    """Trial ``trial``'s instance, schedule, unsorted weights v, h_last and
-    x_hat (None for x_star, on even trials), drawn from its own
-    ``default_rng([seed, trial])`` in a fixed order; the instance is
-    ``build(dimension, directions, rng)``."""
+def _shape(seed: int, trial: int) -> tuple[np.random.Generator, int, int]:
+    """Trial ``trial``'s generator ``default_rng([seed, trial])`` and its
+    first draws: the dimension and the number of directions."""
     rng = np.random.default_rng([seed, trial])
     dim = int(rng.integers(2, CERTIFY_MAX_DIM + 1))
-    instance = build(dim, int(rng.integers(1, 2 * dim + 1)), rng)
-    schedule = _TRIAL_SCHEDULES[trial % len(_TRIAL_SCHEDULES)](rng, N)
+    return rng, dim, int(rng.integers(1, 2 * dim + 1))
+
+
+def _draw(rng: np.random.Generator, trial: int, dim: int, N: int) -> tuple:
+    """Trial ``trial``'s draws after its pieces: its schedule, the schedule's
+    steps on a unit instance (its rule on k = 1 .. N, or a custom schedule's
+    drawn array), unsorted v, h_last and x_hat (None for x_star, even trials)."""
+    draw, build = _TRIAL_SCHEDULES[trial % len(_TRIAL_SCHEDULES)]
+    param = draw(rng, N)
     v = rng.uniform(0.05, 2.0, N + 2)
     h_last = float(rng.uniform(0.05, 1.0))
     x_hat = None if trial % 2 == 0 else rng.standard_normal(dim)
-    return instance, schedule, v, h_last, x_hat
+    schedule = build(param)
+    steps = param if schedule.max_steps else schedule.rule(np.arange(1, N + 1), 1.0, 1.0)
+    return schedule, steps, v, h_last, x_hat
 
 
 def _certify_trials(seed: int, trials: range, N: int, reverse: bool) -> np.ndarray:
@@ -346,10 +348,11 @@ def _certify_trials(seed: int, trials: range, N: int, reverse: bool) -> np.ndarr
     ``_certify_chunk`` hands back.  Every trial runs before any is checked,
     so a run error comes first, then a weight or x_hat error, each for the
     first trial that has one."""
-    drawn = [_draw(seed, trial, N, worstcase.random_instance) for trial in trials]
+    drawn = [(worstcase.random_instance(dim, m, rng), *_draw(rng, trial, dim, N))
+             for trial in trials for rng, dim, m in [_shape(seed, trial)]]
     traces = [solver.run(p, schedule, N=N) for p, schedule, *_ in drawn]
     slacks = np.empty(len(drawn))
-    for t, ((p, _, v, h_last, x_hat), trace) in enumerate(zip(drawn, traces)):
+    for t, ((p, _, _, v, h_last, x_hat), trace) in enumerate(zip(drawn, traces)):
         v = np.sort(v)
         weights = WeightSequence(v[::-1] if reverse else v, h_last=h_last)
         x_hat = p.x_star if x_hat is None else x_hat
@@ -372,43 +375,51 @@ def _sums_of_squares(a: np.ndarray, dims: np.ndarray) -> np.ndarray:
 def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarray | None:
     """The slacks of ``trials``, drawn, run and checked as arrays with the
     bits of ``_certify_trials``; None, for ``_certify_trials`` to handle,
-    when some run would stop early or raise, an entry is not finite, or an
-    x_hat or its answer fails a check of ``verify_lemma``.
+    when a drawn row is one ``random_pieces`` would redraw, some run would
+    stop early or raise, an entry is not finite, or an x_hat or its answer
+    fails a check of ``verify_lemma``.
 
-    Draw: ``_draw`` draws each trial as ``_certify_trials`` does, its pieces
-    through ``worstcase.random_pieces``, which ``random_instance`` wraps.
-    Run: ``solver.step_together`` steps the chunk and records the piece of
-    every answer.  Check: the instance and weight checks run once over the
-    chunk, f(x_hat) is one batched answer, and ``lemma_rows`` evaluates every
-    trial's inequality at once.  Only BLAS calls stay per trial, since a
-    kernel sums in its own order: the gemvs, the two ddots of the start point
-    (its normalization and the R check) and the lemma's left side.
+    Per trial, the chunk makes the calls on the trial's generator, in
+    ``_certify_trials``' order, builds its schedule, copies its slopes into
+    ``solver.PieceBatch`` and makes the BLAS calls that a batched numpy call
+    would sum in another order: the gemvs and the lemma's left side.  The
+    rows and start are drawn into the trial's block of its dimension's
+    stack, which ``worstcase.unit_pieces`` makes unit.  ``step_together``
+    runs the chunk, the instance and weight checks run once over it, f(x_hat)
+    is one batched answer and ``lemma_rows`` evaluates every inequality.
     """
     T = len(trials)
-    X = np.zeros((T, CERTIFY_MAX_DIM))  # x^1
-    x_hat = np.zeros((T, CERTIFY_MAX_DIM))  # x_star = 0 on the even trials
-    v = np.empty((T, N + 2))
-    h_last = np.empty(T)
-    dist = np.empty(T)
-    steps = np.empty((N, T))  # rule(k, 1.0, 1.0); a by-length step is divided when taken
-    by_length = np.empty(T, dtype=bool)
-    slopes = []
-    for t, trial in enumerate(trials):
-        (S, x), schedule, v[t], h_last[t], xh = _draw(seed, trial, N, worstcase.random_pieces)
-        slopes.append(S)
-        X[t, : len(x)] = x
-        dist[t] = math.sqrt(x.dot(x))  # ||x_start - x_star||, as instance_from_pieces takes it
+    shapes = [_shape(seed, trial) for trial in trials]
+    dims, counts = np.array([dim for _, dim, _ in shapes]), np.array([m for *_, m in shapes])
+    # per dimension, each trial's drawn rows then their antipodes, and its start
+    stacks = {d: (np.zeros((len(c), 2 * c.max(), d)), np.empty((len(c), d)))
+              for d in set(dims.tolist()) for c in [counts[dims == d]]}
+    slots = {d: zip(*stack) for d, stack in stacks.items()}
+    X, x_hat = np.zeros((2, T, int(dims.max())))  # x^1, and x_hat: x_star = 0 on even trials
+    v, h_last, dist = np.empty((T, N + 2)), np.empty(T), np.empty(T)
+    steps = np.empty((N, T))  # on a unit instance; a by-length step is divided when taken
+    by_length, own = np.empty(T, dtype=bool), []
+    for t, ((rng, dim, m), trial) in enumerate(zip(shapes, trials)):
+        rows, start = next(slots[dim])
+        rng.standard_normal(out=rows[:m])
+        rng.standard_normal(out=start)
+        own.append(rows[: 2 * m])
+        schedule, steps[:, t], v[t], h_last[t], xh = _draw(rng, trial, dim, N)
         schedule.check_supports(N)
-        steps[:, t] = [schedule.rule(k, 1.0, 1.0) for k in range(1, N + 1)]
         by_length[t] = schedule.by_length
         if xh is not None:
-            x_hat[t, : len(xh)] = xh
+            x_hat[t, :dim] = xh
+    del shapes  # the generators, before the chunk's largest arrays
+    for d, (slopes, starts) in stacks.items():
+        sel = dims == d
+        if not worstcase.unit_pieces(slopes, counts[sel], starts):
+            return None
+        X[sel, :d] = starts
+        dist[sel] = np.sqrt(core.row_dots(starts))  # ||x_start - x_star||, the R check's
     v.sort(axis=1)
     if reverse:
         v = v[:, ::-1]
-    batch = solver.PieceBatch(slopes, [np.zeros(len(S)) for S in slopes])
-    dims, D = batch.dims, batch.slopes.shape[2]
-    X, x_hat = X[:, :D], x_hat[:, :D]
+    batch = solver.PieceBatch(own)
 
     # the checks of instance_from_pieces, on the unit instances random_instance builds
     if not (np.isfinite(batch.slopes).all() and np.isfinite(X).all()):

@@ -234,28 +234,32 @@ class PieceBatch:
     Each trajectory's slopes stay its own contiguous array, for the one gemv
     per answer, ``slopes.dot(x, out=row)`` into its row of ``V``; ``slopes``
     pads them into a (T, M, D) buffer for the gather of the chosen rows, and
-    the padded pieces have intercept -inf, so they are never active.
-    ``dots`` holds ``core.row_dots`` of every piece, taken per dimension, and
-    ``norms`` their roots, each trajectory's ``slope_norms``.  Every other
-    operation of an answer is one numpy call over the batch, in the query's
-    order.
+    the padded pieces have intercept -inf (the others default to +0.0), so
+    they are never active.  ``dots`` holds ``core.row_dots`` of every piece,
+    taken per dimension, and ``norms`` their roots, each trajectory's
+    ``slope_norms``; an answer checks its chosen piece's norm only when
+    ``over_B`` or ``vanishing`` says some real piece's is above B = 1 (1 +
+    1e-12) or at or below ``ZERO_TOL``.  Every other operation of an answer
+    is one numpy call over the batch, in the query's order.
     """
 
-    def __init__(self, slopes: Sequence[np.ndarray], intercepts: Sequence[np.ndarray]):
+    def __init__(self, slopes: Sequence[np.ndarray], intercepts: Sequence[np.ndarray] | None = None):
         self.own = slopes
         self.dims = np.array([s.shape[1] for s in slopes])
-        T, M = len(slopes), max(s.shape[0] for s in slopes)
+        counts = np.array([len(s) for s in slopes])
+        T, M = len(slopes), int(counts.max())
+        self.real = np.arange(M) < counts[:, None]
         self.slopes = np.zeros((T, M, int(self.dims.max())))
         self.intercepts = np.full((T, M), -np.inf)
-        for t, (s, c) in enumerate(zip(slopes, intercepts)):
-            m, d = s.shape
-            self.slopes[t, :m, :d] = s
-            self.intercepts[t, :m] = c
-        self.real = self.intercepts > -np.inf
+        self.intercepts[self.real] = 0.0 if intercepts is None else np.concatenate(intercepts)
+        for t, s in enumerate(slopes):
+            self.slopes[t, : len(s), : s.shape[1]] = s
         self.dots = np.zeros((T, M))
         for d in set(self.dims.tolist()):
             self.dots[self.dims == d] = core.row_dots(self.slopes[self.dims == d, :, :d])
         self.norms = np.sqrt(self.dots)
+        self.over_B = bool((self.norms[self.real] > 1.0 + 1e-12).any())  # run's B check at B = 1
+        self.vanishing = bool((self.norms[self.real] <= ZERO_TOL).any())
         self.V = np.zeros((T, M))  # padding: 0, then -inf once the intercepts are added
         self.active = np.zeros((T, M), dtype=bool)
         self.ar = np.arange(T)
@@ -278,7 +282,7 @@ class PieceBatch:
             return None
         np.greater_equal(self.V, thr[:, None], out=self.active, where=self.real)
         piece = (self.V.shape[1] - 1) - self.active[:, ::-1].argmax(axis=1)
-        if (self.norms[self.ar, piece] > 1.0 + 1e-12).any():  # run's B (1 + 1e-12) at B = 1
+        if self.over_B and (self.norms[self.ar, piece] > 1.0 + 1e-12).any():
             return None
         return piece
 
@@ -310,12 +314,11 @@ def step_together(batch: PieceBatch, X: np.ndarray, steps: np.ndarray, by_length
         pieces[k - 1] = piece
         if k > N:
             break
-        norm = batch.norms[batch.ar, piece]
-        if (norm <= ZERO_TOL).any():
+        if batch.vanishing and (batch.norms[batch.ar, piece] <= ZERO_TOL).any():
             return None
         h = steps[k - 1]
         if any_by_length:
-            np.divide(h, norm, out=h, where=by_length)
+            np.divide(h, batch.norms[batch.ar, piece], out=h, where=by_length)
         np.multiply(h[:, None], batch.slopes[batch.ar, piece], out=HG)
         np.subtract(X, HG, out=X)
     return values, pieces

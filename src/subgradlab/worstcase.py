@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import PiecewiseLinearMax, ProblemInstance, instance_from_pieces, scale_instance
+from .core import PiecewiseLinearMax, ProblemInstance, instance_from_pieces, row_dots, scale_instance
 from .errors import InvariantViolation, StepOutOfRange, StepTooSmall
 from .rates import (
     TWO_STEP_FIRST,
@@ -207,24 +207,40 @@ def two_step_worst_long(h2: float, scripted: bool = True) -> ProblemInstance:
     )
 
 
+def unit_pieces(slopes: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> bool:
+    """``random_pieces``' arithmetic, in place, on G draws of one dimension d:
+    ``slopes`` (G, 2M, d) holds draw g's ``counts[g]`` drawn rows, then zeros,
+    and ``starts`` (G, d) its start.  Makes the rows unit, writes their
+    antipodes after them and divides each start by the root of its
+    ``row_dots``; sums run along the last axis, so each draw keeps the bits of
+    a stack of one.  False, for a redraw, when a row's norm is below 1e-12."""
+    M = slopes.shape[1] // 2
+    drawn, real = slopes[:, :M], np.arange(M) < counts[:, None]
+    # np.linalg.norm's own formula for row norms, without its wrapper
+    norms = np.sqrt(np.add.reduce(drawn * drawn, axis=-1))
+    norms[~real] = 1.0  # the zeros after the drawn rows stay zeros
+    if (norms < 1e-12).any():  # essentially impossible, but cheap to guard
+        return False
+    drawn /= norms[..., None]
+    g, i = real.nonzero()
+    slopes[g, counts[g] + i] = -drawn[g, i]
+    starts /= np.sqrt(row_dots(starts))[:, None]
+    return True
+
+
 def random_pieces(
     dimension: int, directions: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """``random_instance``'s draws from ``rng``, in its order: the unit slopes,
     a contiguous (2 directions, dimension) array holding the drawn rows and
-    then their antipodes, and the unit start point."""
+    then their antipodes, and the unit start point, through ``unit_pieces``
+    as a stack of one; a redraw draws both again."""
+    slopes, x_start = np.zeros((1, 2 * directions, dimension)), np.empty((1, dimension))
     while True:
-        drawn = rng.standard_normal((directions, dimension))
-        # np.linalg.norm's own formula for row norms, without its wrapper
-        norms = np.sqrt(np.add.reduce(drawn * drawn, axis=1))
-        if not (norms < 1e-12).any():  # essentially impossible, but cheap to guard
-            break
-    slopes = np.empty((2 * directions, dimension))
-    np.divide(drawn, norms[:, None], out=slopes[:directions])
-    np.negative(slopes[:directions], out=slopes[directions:])
-    x_start = rng.standard_normal(dimension)
-    x_start /= math.sqrt(x_start.dot(x_start))
-    return slopes, x_start
+        rng.standard_normal(out=slopes[0, :directions])
+        rng.standard_normal(out=x_start)
+        if unit_pieces(slopes, np.array([directions]), x_start):
+            return slopes[0], x_start[0]
 
 
 def random_instance(

@@ -24,7 +24,7 @@ from subgradlab import (
     scale_instance,
     verify_lemma,
 )
-from subgradlab import certify, solver
+from subgradlab import certify, core, solver, worstcase
 from subgradlab.sequences import s
 from subgradlab.worstcase import abs_instance, random_instance
 
@@ -312,6 +312,74 @@ def test_chunk_slacks_are_verify_lemma_bit_for_bit(N):
     assert chunk is not None
     one_by_one = certify._certify_trials(5, trials, N, False)
     assert [s.hex() for s in chunk] == [s.hex() for s in one_by_one]
+
+
+def _hexes(a):
+    return [x.hex() for x in np.ravel(a).tolist()]
+
+
+def test_certify_unit_rows_match_random_pieces_bit_for_bit():
+    """unit_pieces on a stack of one dimension, as the chunk calls it, gives
+    each draw the slopes, start point and R-check distance of random_pieces
+    and random_instance, to the bit, for every dimension and direction count
+    certify draws; the zeros after a draw's pieces stay zeros."""
+    for dim in range(2, 9):
+        counts = np.random.default_rng(dim).permutation(np.arange(1, 2 * dim + 1))
+        slopes = np.zeros((len(counts), 2 * counts.max(), dim))
+        starts = np.empty((len(counts), dim))
+        for rows, start, m in zip(slopes, starts, counts.tolist()):
+            rng = np.random.default_rng([dim, m])
+            rng.standard_normal(out=rows[:m])
+            rng.standard_normal(out=start)
+        assert worstcase.unit_pieces(slopes, counts, starts)
+        dist = np.sqrt(core.row_dots(starts))
+        for rows, start, r, m in zip(slopes, starts, dist, counts.tolist()):
+            p = random_instance(dim, m, seed=[dim, m])
+            drawn = worstcase.random_pieces(dim, m, np.random.default_rng([dim, m]))
+            for S, x in (drawn, (p.oracle.pieces.slopes, p.x_start)):
+                assert S.shape == (2 * m, dim) and _hexes(rows[: 2 * m]) == _hexes(S)
+                assert _hexes(start) == _hexes(x)
+            assert not rows[2 * m :].any()
+            d = p.x_start - p.x_star  # the distance instance_from_pieces checks against R
+            assert r.hex() == math.sqrt(d.dot(d)).hex()
+
+
+def test_certify_chunk_hands_a_near_zero_drawn_row_to_the_trial_path(monkeypatch):
+    """A drawn row of norm below 1e-12, which random_pieces would draw again,
+    makes unit_pieces refuse the chunk's stack; the chunk then runs trial by
+    trial through _certify_trials, with the same slacks."""
+    N, trials = 7, range(40)
+    expected = _hexes(certify._certify_trials(5, trials, N, False))
+    unit, trial_path = worstcase.unit_pieces, certify._certify_trials
+    armed, handed = [True], []
+
+    def near_zero(slopes, counts, starts):
+        if armed:
+            armed.clear()
+            slopes[0, 0] = 1e-14
+            assert not unit(slopes.copy(), counts, starts.copy())
+        return unit(slopes, counts, starts)
+
+    def spy(seed, part, *rest):
+        handed.append(part)
+        return trial_path(seed, part, *rest)
+
+    monkeypatch.setattr(worstcase, "unit_pieces", near_zero)
+    monkeypatch.setattr(certify, "_certify_trials", spy)
+    got = [x for _, slacks in certify.trial_slacks(5, N, trials) for x in _hexes(slacks)]
+    assert handed == [trials] and not armed
+    assert got == expected
+
+
+@pytest.mark.parametrize("N", [1, 7, 20, 100])
+def test_certify_step_rows_are_the_scalar_rule_calls(N):
+    """Each schedule's steps on a unit instance, as certify draws them, are
+    one call of its rule on k = 1 .. N, or a custom schedule's drawn array,
+    with the bits of the N scalar calls rule(k, 1.0, 1.0)."""
+    for trial in range(len(certify._TRIAL_SCHEDULES)):
+        schedule, steps, *_ = certify._draw(np.random.default_rng([N, trial]), trial, 3, N)
+        row = np.broadcast_to(steps, (N,))
+        assert _hexes(row) == [schedule.rule(k, 1.0, 1.0).hex() for k in range(1, N + 1)]
 
 
 def _trial_by_trial_slacks(seed, trials, N):

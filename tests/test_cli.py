@@ -630,20 +630,29 @@ def test_certify_hands_a_chunk_with_a_failing_trial_to_the_trial_by_trial_path(
 @pytest.mark.parametrize("bad", [{2: (2.0, 1.0)}, {2: (1.0, 3.0)}, {5: (2.0, 1.0), 3: (1.0, 3.0)}])
 def test_certify_chunk_raises_the_instance_error_of_the_trial_path(monkeypatch, bad):
     """Pieces or a start scaled past the declared B or R fail the chunk's
-    instance check with random_instance's error for the first such trial."""
-    draw = worstcase.random_pieces
-    calls = []
+    instance check with random_instance's error for the first such trial.
+    Both paths make their draws unit in worstcase.unit_pieces, the chunk once
+    per dimension and random_pieces once per trial, so the scaling sits
+    there and finds a trial by its unit start point."""
+    starts = {}
+    for trial in bad:
+        rng = np.random.default_rng([3, trial])
+        dim = int(rng.integers(2, 9))
+        starts[trial] = worstcase.random_pieces(dim, int(rng.integers(1, 2 * dim + 1)), rng)[1]
+    unit = worstcase.unit_pieces
 
-    def scaled(*args):
-        slopes, x = draw(*args)
-        a, b = bad.get(len(calls), (1.0, 1.0))
-        calls.append(None)
-        return a * slopes, b * x
+    def scaled(slopes, counts, x):
+        drawn = unit(slopes, counts, x)
+        for trial, (a, b) in bad.items():
+            if x.shape[1] == len(starts[trial]):
+                mine = (x == starts[trial]).all(axis=1)
+                slopes[mine] *= a
+                x[mine] *= b
+        return drawn
 
-    monkeypatch.setattr(worstcase, "random_pieces", scaled)
+    monkeypatch.setattr(worstcase, "unit_pieces", scaled)
     errors = []
     for path in (certify._certify_chunk, certify._certify_trials):
-        calls.clear()
         with pytest.raises(ValueError) as exc:
             path(3, range(10), 5, False)
         errors.append(str(exc.value))

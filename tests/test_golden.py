@@ -56,6 +56,8 @@ CASES = {
     ),
     "certify_300.txt": ("certify", "--trials", "300", "--N", "7", "--seed", "9"),
     "certify_n20.txt": ("certify", "--trials", "200", "--N", "20", "--seed", "11"),
+    # two chunks of trials at N = 20
+    "certify_n20_1000.txt": ("certify", "--trials", "1000", "--N", "20", "--seed", "11"),
     "run_random_constant_unscaled.csv": (
         "run", "--instance", "random", "--method", "constant", "--N", "20000",
         "--dim", "32", "--directions", "64", "--h", "0.1", "--seed", "4",

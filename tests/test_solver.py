@@ -756,6 +756,19 @@ def _raised(fn):
     return type(exc.value), str(exc.value)
 
 
+def test_lockstep_hands_back_a_batch_that_run_stops_early():
+    """A trajectory whose run stops at a zero subgradient, the zero piece of
+    an unscripted two-step instance, hands the batch back; a batch without a
+    piece at or below ZERO_TOL skips that check on every answer."""
+    N = 50
+    stopping = [(p, s) for p, s in _unit_batch(N) if run(p, s, N=N).terminated_early]
+    other = random_instance(3, 2, seed=0)
+    assert len(stopping) >= 5 and not solver.PieceBatch([other.oracle.pieces.slopes]).vanishing
+    for p, schedule in stopping:
+        assert solver.PieceBatch([p.oracle.pieces.slopes]).vanishing
+        assert _step_together([other, p], [schedule] * 2, N) is None
+
+
 def test_lockstep_raises_the_norm_check_of_run():
     """The loop hands the batch back exactly where ``run`` raises for a norm
     above B (1 + 1e-12), at B = 1: in a step and in the final query."""

@@ -155,13 +155,13 @@ def _reference_random_pieces(dimension, directions, seed):
     """``random_instance``'s draws written with numpy's Python-level
     functions: the slopes with their antipodes, and the start."""
     rng = np.random.default_rng(seed)
-    slopes = rng.standard_normal((directions, dimension))
-    norms = np.linalg.norm(slopes, axis=1)
-    while np.any(norms < 1e-12):
+    while True:  # a row of norm below 1e-12 draws the rows and the start again
         slopes = rng.standard_normal((directions, dimension))
+        x_start = rng.standard_normal(dimension)
         norms = np.linalg.norm(slopes, axis=1)
+        if not np.any(norms < 1e-12):
+            break
     slopes /= norms[:, None]
-    x_start = rng.standard_normal(dimension)
     x_start /= np.linalg.norm(x_start)
     return np.vstack([slopes, -slopes]), x_start
 
