@@ -127,14 +127,11 @@ def lemma_rows(steps, h_last, v, values, f_hat, g_norms_sq, d_sq) -> LemmaCheck:
     f(x_hat), squared subgradient norms ``g_norms_sq`` (N + 1) and
     ``d_sq`` = ||x^1 - x_hat||^2.  Each row keeps the bits of a 1-D
     evaluation: every sum runs along the contiguous last axis of a
-    trial-major array, which adds in the 1-D order (along the other axis
-    numpy adds in another order from 8 terms on), and the left side is one
-    ddot per trial.
+    trial-major array, and the left side is ``core.dots``.
     """
     h = np.concatenate((steps, h_last[:, None]), axis=1)  # h_1 .. h_{N+1}
     c = _coefficient_rows(h, v)
-    gaps = np.ascontiguousarray(values) - f_hat[:, None]
-    lhs = np.array([ct.dot(gt) for ct, gt in zip(c, gaps)])
+    lhs = core.dots(c, np.ascontiguousarray(values) - f_hat[:, None])
     rhs = 0.5 * v[:, 0] ** 2 * d_sq + 0.5 * np.add.reduce(
         h**2 * v[:, 1:] ** 2 * g_norms_sq, axis=1
     )
@@ -159,14 +156,11 @@ def verify_lemma(
 
     f_hat = p.evaluate(x_hat).value
     g = trace.subgradients
-    # A dot for the last squared norm on purpose: the certify output pins its
-    # bits, which a row-wise sum can move, until one fixed-order kernel serves both.
-    g_norms_sq = np.add.reduce(g * g, axis=1)
-    g_norms_sq[-1] = g[-1].dot(g[-1])
-    d = trace.points[0] - x_hat
+    g_norms_sq = core.sums_of_squares(g)
+    g_norms_sq[-1] = core.dots(g[-1], g[-1])  # not the row sum: certify's output pins its bits
     check = lemma_rows(
         steps[None], np.array([w.h_last]), w.v[None], trace.values[None],
-        np.array([f_hat]), g_norms_sq[None], np.add.reduce(d * d, keepdims=True),
+        np.array([f_hat]), g_norms_sq[None], core.sums_of_squares(trace.points[:1] - x_hat),
     )
     return LemmaCheck(*(float(side[0]) for side in check))
 
@@ -223,7 +217,7 @@ def recursive_weights(
     v = np.zeros(N + 2)
     v[N + 1] = alpha
     for k in range(N, -1, -1):
-        v[k] = h_last / float(np.dot(h[k:], v[k + 1 :]))
+        v[k] = h_last / float(core.dots(h[k:], v[k + 1 :]))
     return WeightSequence(v, h_last)
 
 
@@ -330,16 +324,14 @@ def _shape(seed: int, trial: int) -> tuple[np.random.Generator, int, int]:
 
 def _draw(rng: np.random.Generator, trial: int, dim: int, N: int) -> tuple:
     """Trial ``trial``'s draws after its pieces: its schedule, the schedule's
-    steps on a unit instance (its rule on k = 1 .. N, or a custom schedule's
-    drawn array), unsorted v, h_last and x_hat (None for x_star, even trials)."""
+    steps on a unit instance (its rule on k = 1 .. N), unsorted v, h_last and
+    x_hat (None for x_star, even trials)."""
     draw, build = _TRIAL_SCHEDULES[trial % len(_TRIAL_SCHEDULES)]
-    param = draw(rng, N)
+    schedule = build(draw(rng, N))
     v = rng.uniform(0.05, 2.0, N + 2)
     h_last = float(rng.uniform(0.05, 1.0))
     x_hat = None if trial % 2 == 0 else rng.standard_normal(dim)
-    schedule = build(param)
-    steps = param if schedule.max_steps else schedule.rule(np.arange(1, N + 1), 1.0, 1.0)
-    return schedule, steps, v, h_last, x_hat
+    return schedule, schedule.rule(np.arange(1, N + 1), 1.0, 1.0), v, h_last, x_hat
 
 
 def _certify_trials(seed: int, trials: range, N: int, reverse: bool) -> np.ndarray:
@@ -360,18 +352,6 @@ def _certify_trials(seed: int, trials: range, N: int, reverse: bool) -> np.ndarr
     return slacks
 
 
-def _sums_of_squares(a: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(r * r)`` of every row r of ``a[t, ..., :dims[t]]``,
-    with the bits of the 1-D sum: the trials are grouped by dimension, since
-    zero padding changes a sum of 4 to 7 terms once it reaches 8."""
-    out = np.zeros(a.shape[:-1])
-    for d in set(dims.tolist()):
-        sel = dims == d
-        rows = a[sel, ..., :d]
-        out[sel] = np.add.reduce(rows * rows, axis=-1)
-    return out
-
-
 def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarray | None:
     """The slacks of ``trials``, drawn, run and checked as arrays with the
     bits of ``_certify_trials``; None, for ``_certify_trials`` to handle,
@@ -380,13 +360,12 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarra
     fails a check of ``verify_lemma``.
 
     Per trial, the chunk makes the calls on the trial's generator, in
-    ``_certify_trials``' order, builds its schedule, copies its slopes into
-    ``solver.PieceBatch`` and makes the BLAS calls that a batched numpy call
-    would sum in another order: the gemvs and the lemma's left side.  The
-    rows and start are drawn into the trial's block of its dimension's
-    stack, which ``worstcase.unit_pieces`` makes unit.  ``step_together``
-    runs the chunk, the instance and weight checks run once over it, f(x_hat)
-    is one batched answer and ``lemma_rows`` evaluates every inequality.
+    ``_certify_trials``' order, builds its schedule and copies its slopes
+    into ``solver.PieceBatch``, which keeps a gemv per trial.  The rows and
+    start are drawn into the trial's block of its dimension's stack, which
+    ``worstcase.unit_pieces`` makes unit.  ``step_together`` runs the chunk,
+    the instance and weight checks run once over it, f(x_hat) is one batched
+    answer and ``lemma_rows`` evaluates every inequality.
     """
     T = len(trials)
     shapes = [_shape(seed, trial) for trial in trials]
@@ -415,7 +394,7 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarra
         if not worstcase.unit_pieces(slopes, counts[sel], starts):
             return None
         X[sel, :d] = starts
-        dist[sel] = np.sqrt(core.row_dots(starts))  # ||x_start - x_star||, the R check's
+        dist[sel] = np.sqrt(core.dots(starts, starts))  # ||x_start - x_star||, the R check's
     v.sort(axis=1)
     if reverse:
         v = v[:, ::-1]
@@ -430,7 +409,7 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarra
     # its projection onto the whole space
     if not np.isfinite(x_hat).all() or (core.project_all(x_hat) - x_hat).any():
         return None
-    d_sq = _sums_of_squares(X - x_hat, dims)  # before step_together moves X
+    d_sq = core.sums_of_squares(X - x_hat, dims)  # before step_together moves X
     stepped = solver.step_together(batch, X, steps, by_length, N)
     if stepped is None:
         return None
@@ -442,6 +421,6 @@ def _certify_chunk(seed: int, trials: range, N: int, reverse: bool) -> np.ndarra
     check_weight_rows(v, h_last)
 
     g_norms_sq = np.empty((T, N + 1))  # the g^k are slopes: verify_lemma's row sums, last dot
-    g_norms_sq[:, :N] = _sums_of_squares(batch.slopes, dims)[batch.ar[:, None], pieces[:N].T]
+    g_norms_sq[:, :N] = core.sums_of_squares(batch.slopes, dims)[batch.ar[:, None], pieces[:N].T]
     g_norms_sq[:, N] = batch.dots[batch.ar, pieces[N]]
     return lemma_rows(steps.T, h_last, v, values.T, f_hat, g_norms_sq, d_sq).slack

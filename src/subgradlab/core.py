@@ -54,21 +54,50 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def row_dots(rows: np.ndarray) -> np.ndarray:
-    """``r.dot(r)`` of each row r on the last axis, bit for bit: numpy hands
-    each 1 x d by d x 1 product of the stacked ``matmul`` to that BLAS dot."""
-    return np.matmul(rows[..., None, :], rows[..., None])[..., 0, 0]
+# --- summation order: every BLAS call and sum of squares of the package -------
+
+
+def dots(a: np.ndarray, b: np.ndarray, dims: np.ndarray | None = None) -> np.ndarray:
+    """The BLAS ddot of each pair of rows on the last axes of ``a`` and ``b``:
+    numpy hands each 1 x d by d x 1 product of the stacked ``matmul`` to
+    ddot, so row t has the bits of ``a[t].dot(b[t])`` (1-D a, b: ``a.dot(b)``)
+    when the last axes are contiguous, and only then: ``.dot`` copies a
+    reversed row first.  ``dims`` is that of :func:`sums_of_squares`."""
+    if dims is not None:
+        return _by_dimension(dots, dims, a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def sums_of_squares(a: np.ndarray, dims: np.ndarray | None = None) -> np.ndarray:
+    """``np.add.reduce(r * r)`` of each row r on the last axis of ``a``, in
+    the 1-D sum's order (along another axis numpy adds in another order from
+    8 terms on).  With ``dims``, of each row of ``a[t, ..., :dims[t]]``, on
+    one dimension's rows at a time: zero padding regroups a sum of 4 to 7."""
+    if dims is not None:
+        return _by_dimension(sums_of_squares, dims, a)
+    return np.add.reduce(a * a, axis=-1)
+
+
+def _by_dimension(reduce, dims: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    out = np.zeros(arrays[0].shape[:-1])
+    for d in set(dims.tolist()):
+        out[dims == d] = reduce(*(a[dims == d, ..., :d] for a in arrays))
+    return out
+
+
+def matvec(A: np.ndarray) -> Callable:
+    """A's BLAS gemv, bound once: ``matvec(A)(x, out=None)`` is ``A @ x``,
+    and ``matvec(P.T)(w)`` is ``w @ P``, bit for bit, without the ufunc."""
+    return A.dot
 
 
 class SubgradientSample(NamedTuple):
     """One oracle answer: the function value, a single subgradient and its
-    Euclidean ``norm`` ``math.sqrt(g.dot(g))``, read from ``slope_norms`` by
-    :func:`plmax_query` and taken by :meth:`of` for any other oracle: the
-    correctly rounded root of the dot ``np.linalg.norm`` takes for a 1-D
-    float64 vector, so the two agree bit for bit.  The record is an immutable
-    tuple, but ``subgradient`` may be the oracle's own data (a row of the
-    pieces' slopes, or its scaled copy); callers must not write to it, and
-    for a piecewise answer numpy raises if they try."""
+    Euclidean ``norm``, the root of ``dots(g, g)``, read from ``slope_norms``
+    by :func:`plmax_query` and taken by :meth:`of` for any other oracle.  The
+    record is an immutable tuple, but ``subgradient`` may be the oracle's own
+    data (a row of the pieces' slopes, or its scaled copy); callers must not
+    write to it, and for a piecewise answer numpy raises if they try."""
 
     value: float
     subgradient: np.ndarray
@@ -77,7 +106,7 @@ class SubgradientSample(NamedTuple):
     @classmethod
     def of(cls, value: float, subgradient: np.ndarray) -> "SubgradientSample":
         g = np.asarray(subgradient, dtype=np.float64)
-        return cls(float(value), g, math.sqrt(g.dot(g)))
+        return cls(float(value), g, math.sqrt(dots(g, g)))
 
 
 @dataclass(frozen=True)
@@ -90,10 +119,9 @@ class PiecewiseLinearMax:
     which makes tie-breaking deterministic.
 
     ``slope_norms`` holds the Euclidean norm of each row of ``slopes``,
-    taken once at construction as the root of :func:`row_dots`, so it is
-    ``math.sqrt(r.dot(r))`` of each row r bit for bit: the norm the oracle
-    answers with and the one the B checks read.  The slopes must not be
-    written to afterwards.
+    taken once at construction as the root of :func:`dots`: the norm the
+    oracle answers with and the one the B checks read.  The slopes must not
+    be written to afterwards.
     """
 
     slopes: np.ndarray
@@ -118,7 +146,7 @@ class PiecewiseLinearMax:
             raise ValueError("pieces have non-finite entries")
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
-        object.__setattr__(self, "slope_norms", np.sqrt(row_dots(slopes)))
+        object.__setattr__(self, "slope_norms", np.sqrt(dots(slopes, slopes)))
         if self.scripted_choices is not None:
             m = slopes.shape[0]
             for it, piece in self.scripted_choices.items():
@@ -172,7 +200,7 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
     added: that add only turns -0.0 into +0.0, which no comparison sees.  The
     maximum, read at its first index, has the bits of ``np.maximum.reduce``.
     """
-    dot, intercepts, norms = f.slopes.dot, f.intercepts, f.slope_norms
+    gemv, intercepts, norms = matvec(f.slopes), f.intercepts, f.slope_norms
     slopes = f.slopes.view()  # read-only rows, without flipping the caller's array
     slopes.flags.writeable = False
     script = f.scripted_choices or {}
@@ -182,7 +210,7 @@ def plmax_query(f: PiecewiseLinearMax, B: float = 1.0, R: float = 1.0):
     add = intercepts.view(np.int64).any()  # False when all are +0.0
 
     def query(x, k=None):
-        dot(x if R == 1.0 else np.divide(x, R0, out=y), out=vals)  # the gemv of `@`
+        gemv(x if R == 1.0 else np.divide(x, R0, out=y), out=vals)
         if add:
             np.add(vals, intercepts, out=vals)
         top = vals.argmax()  # the first index of the maximum, or of a NaN
@@ -315,7 +343,7 @@ def instance_from_pieces(
     x_start = as_point(x_start, pieces.dimension)
     max_norm = pieces.max_slope_norm()
     d = x_start - x_star
-    dist = math.sqrt(d.dot(d))
+    dist = math.sqrt(dots(d, d))
     B = max_norm if B is None else B
     R = dist if R is None else R
     check_bounds(max_norm, dist, B, R)
@@ -373,7 +401,7 @@ def project_ball(center, radius: float) -> Projection:
     def proj(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         d = y - center
-        norm = float(np.linalg.norm(d))
+        norm = math.sqrt(dots(d, d))
         if norm <= radius:
             return y.copy()
         return center + d * (radius / norm)
@@ -446,7 +474,7 @@ def check_instance(p: ProblemInstance, pairs: int = 1000, seed: int = 0) -> None
             raise ValueError(
                 f"oracle value below f_star = {p.f_star} at pair {i} of {p.name}"
             )
-        lower = sx.value + float(np.dot(sx.subgradient, y - x))
+        lower = sx.value + float(dots(sx.subgradient, y - x))
         if sy.value < lower - 1e-9 * scale:
             raise ValueError(
                 f"subgradient inequality violated by {lower - sy.value:.3e} "

@@ -32,9 +32,9 @@ class StepSchedule:
     ``rule(k, B, R)`` is a formula of the iteration k and the instance's
     constants B and R.  It gives h_k itself, or, when ``by_length`` is set,
     the step length t_k: then h_k = t_k / ||g^k|| and every move has length
-    t_k.  ``N`` is the horizon a schedule was planned for and ``max_steps``
-    the length of a custom schedule; both are ``None`` when they do not
-    apply.  The constructors:
+    t_k, for an integer k or an array of them.  ``N`` is the horizon a
+    schedule was planned for and ``max_steps`` the length of a custom
+    schedule; both are ``None`` when they do not apply.  The constructors:
 
     ``custom``               user-supplied raw step sizes, used verbatim
     ``constant_normalized``  h_k = h * R / B for a dimensionless parameter h
@@ -50,7 +50,8 @@ class StepSchedule:
 
     @classmethod
     def custom(cls, steps: Sequence[float]) -> "StepSchedule":
-        steps = tuple(_validate_steps(steps).tolist())
+        steps = np.array(_validate_steps(steps))  # a copy, read-only
+        steps.flags.writeable = False
         return cls(lambda k, B, R: steps[k - 1], max_steps=len(steps))
 
     @classmethod
@@ -232,11 +233,11 @@ class PieceBatch:
     its own ``plmax_query``.
 
     Each trajectory's slopes stay its own contiguous array, for the one gemv
-    per answer, ``slopes.dot(x, out=row)`` into its row of ``V``; ``slopes``
-    pads them into a (T, M, D) buffer for the gather of the chosen rows, and
-    the padded pieces have intercept -inf (the others default to +0.0), so
-    they are never active.  ``dots`` holds ``core.row_dots`` of every piece,
-    taken per dimension, and ``norms`` their roots, each trajectory's
+    per answer, ``core.matvec(slopes)(x, out=row)`` into its row of ``V``;
+    ``slopes`` pads them into a (T, M, D) buffer for the gather of the chosen
+    rows, and the padded pieces have intercept -inf (the others default to
+    +0.0), so they are never active.  ``dots`` holds ``core.dots`` of every
+    piece, taken per dimension, and ``norms`` their roots, each trajectory's
     ``slope_norms``; an answer checks its chosen piece's norm only when
     ``over_B`` or ``vanishing`` says some real piece's is above B = 1 (1 +
     1e-12) or at or below ``ZERO_TOL``.  Every other operation of an answer
@@ -254,9 +255,7 @@ class PieceBatch:
         self.intercepts[self.real] = 0.0 if intercepts is None else np.concatenate(intercepts)
         for t, s in enumerate(slopes):
             self.slopes[t, : len(s), : s.shape[1]] = s
-        self.dots = np.zeros((T, M))
-        for d in set(self.dims.tolist()):
-            self.dots[self.dims == d] = core.row_dots(self.slopes[self.dims == d, :, :d])
+        self.dots = core.dots(self.slopes, self.slopes, self.dims)
         self.norms = np.sqrt(self.dots)
         self.over_B = bool((self.norms[self.real] > 1.0 + 1e-12).any())  # run's B check at B = 1
         self.vanishing = bool((self.norms[self.real] <= ZERO_TOL).any())
@@ -266,15 +265,16 @@ class PieceBatch:
 
     def gemvs(self, X: np.ndarray) -> list:
         """Each trajectory's gemv, bound to its row of the points X (T, D)."""
-        return [(s.dot, X[t, : s.shape[1]], self.V[t, : s.shape[0]]) for t, s in enumerate(self.own)]
+        return [(core.matvec(s), X[t, : s.shape[1]], self.V[t, : s.shape[0]])
+                for t, s in enumerate(self.own)]
 
     def answer(self, gemvs: list, fmax: np.ndarray) -> np.ndarray | None:
         """The query's answer for every trajectory at the points ``gemvs``
         reads: the maximum into ``fmax`` and the index of the highest active
         piece, or None when ``run`` would raise on some answer: a maximum
         that is NaN or +inf, or a chosen piece of norm above B = 1."""
-        for dot, x, out in gemvs:
-            dot(x, out=out)  # the gemv of `@`, without the ufunc
+        for gemv, x, out in gemvs:
+            gemv(x, out=out)
         np.add(self.V, self.intercepts, out=self.V)
         np.maximum.reduce(self.V, axis=1, out=fmax)
         thr = core.active_threshold(fmax)
@@ -359,7 +359,7 @@ def avg_gap(trace: RunTrace, p: ProblemInstance, h: Sequence[float]) -> float:
     _validate_steps(h)
     h = np.ldexp(h, -math.frexp(float(h.max()))[1])  # a power of two, so h.sum() is finite
     weights = h / h.sum()
-    x_avg = weights @ trace.points
+    x_avg = core.matvec(trace.points.T)(weights)
     return _settle_gap(float(p.evaluate(x_avg).value) - p.f_star, p)
 
 

@@ -19,7 +19,8 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import PiecewiseLinearMax, ProblemInstance, instance_from_pieces, row_dots, scale_instance
+from .core import (PiecewiseLinearMax, ProblemInstance, dots, instance_from_pieces, scale_instance,
+                   sums_of_squares)
 from .errors import InvariantViolation, StepOutOfRange, StepTooSmall
 from .rates import (
     TWO_STEP_FIRST,
@@ -163,30 +164,23 @@ def two_step_worst_long(h2: float, scripted: bool = True) -> ProblemInstance:
     sin = math.sqrt(1.0 - gamma * gamma)
     deep = math.sqrt((1.0 - gamma * gamma) * (1.0 - 1.0 / (128.0 * h2 * h2)))
 
-    xi1 = np.array([gamma, -sin, 0.0])
-    xi2 = np.array([gamma, sin / (8.0 * sqrt2 * h2), -deep])
-    xi3 = np.array([gamma, sin / (8.0 * sqrt2 * h2), deep])
-    for v in (xi1, xi2, xi3):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    slopes = np.array([[0.0, 0.0, 0.0],
+                       [gamma, -sin, 0.0],
+                       [gamma, sin / (8.0 * sqrt2 * h2), -deep],
+                       [gamma, sin / (8.0 * sqrt2 * h2), deep]])
+    xi = slopes[1:]
+    for v, norm in zip(xi, np.sqrt(dots(xi, xi))):
+        if abs(norm - 1.0) > 1e-12:
             raise InvariantViolation(f"two-step slope {v} is not a unit vector")
 
     z1 = np.array([1.0, 0.0, 0.0])
-    z2 = z1 - xi1 / (2.0 * sqrt2)
-    z3 = z2 - h2 * xi2
+    z2 = z1 - xi[0] / (2.0 * sqrt2)
+    z = np.array([z1, z2, z2 - h2 * xi[1]])
 
     c1 = gamma
     c2 = gamma + (1.0 - gamma * gamma) / (32.0 * h2) - gamma * gamma / (2.0 * sqrt2)
     c3 = h2 + 1.0 / (64.0 * h2) + 16.0 * h2 / (1.0 + 8.0 * sqrt2 * h2) ** 2
-
-    slopes = np.vstack([np.zeros(3), xi1, xi2, xi3])
-    intercepts = np.array(
-        [
-            0.0,
-            c1 - float(np.dot(xi1, z1)),
-            c2 - float(np.dot(xi2, z2)),
-            c3 - float(np.dot(xi3, z3)),
-        ]
-    )
+    intercepts = np.concatenate(([0.0], np.array([c1, c2, c3]) - dots(xi, z)))
     # all pieces must stay at or below zero at the minimizer
     if np.max(intercepts) > 1e-12:
         raise InvariantViolation(f"a two-step piece is positive at the minimizer: {intercepts}")
@@ -211,20 +205,19 @@ def unit_pieces(slopes: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> b
     """``random_pieces``' arithmetic, in place, on G draws of one dimension d:
     ``slopes`` (G, 2M, d) holds draw g's ``counts[g]`` drawn rows, then zeros,
     and ``starts`` (G, d) its start.  Makes the rows unit, writes their
-    antipodes after them and divides each start by the root of its
-    ``row_dots``; sums run along the last axis, so each draw keeps the bits of
-    a stack of one.  False, for a redraw, when a row's norm is below 1e-12."""
+    antipodes after them and divides each start by the root of its ``dots``;
+    each draw keeps the bits of a stack of one.  False, for a redraw, when a
+    row's norm is below 1e-12."""
     M = slopes.shape[1] // 2
     drawn, real = slopes[:, :M], np.arange(M) < counts[:, None]
-    # np.linalg.norm's own formula for row norms, without its wrapper
-    norms = np.sqrt(np.add.reduce(drawn * drawn, axis=-1))
+    norms = np.sqrt(sums_of_squares(drawn))
     norms[~real] = 1.0  # the zeros after the drawn rows stay zeros
     if (norms < 1e-12).any():  # essentially impossible, but cheap to guard
         return False
     drawn /= norms[..., None]
     g, i = real.nonzero()
     slopes[g, counts[g] + i] = -drawn[g, i]
-    starts /= np.sqrt(row_dots(starts))[:, None]
+    starts /= np.sqrt(dots(starts, starts))[:, None]
     return True
 
 

@@ -332,7 +332,7 @@ def test_certify_unit_rows_match_random_pieces_bit_for_bit():
             rng.standard_normal(out=rows[:m])
             rng.standard_normal(out=start)
         assert worstcase.unit_pieces(slopes, counts, starts)
-        dist = np.sqrt(core.row_dots(starts))
+        dist = np.sqrt(core.dots(starts, starts))
         for rows, start, r, m in zip(slopes, starts, dist, counts.tolist()):
             p = random_instance(dim, m, seed=[dim, m])
             drawn = worstcase.random_pieces(dim, m, np.random.default_rng([dim, m]))
@@ -374,8 +374,8 @@ def test_certify_chunk_hands_a_near_zero_drawn_row_to_the_trial_path(monkeypatch
 @pytest.mark.parametrize("N", [1, 7, 20, 100])
 def test_certify_step_rows_are_the_scalar_rule_calls(N):
     """Each schedule's steps on a unit instance, as certify draws them, are
-    one call of its rule on k = 1 .. N, or a custom schedule's drawn array,
-    with the bits of the N scalar calls rule(k, 1.0, 1.0)."""
+    one call of its rule on k = 1 .. N, a custom schedule's too, with the
+    bits of the N scalar calls rule(k, 1.0, 1.0)."""
     for trial in range(len(certify._TRIAL_SCHEDULES)):
         schedule, steps, *_ = certify._draw(np.random.default_rng([N, trial]), trial, 3, N)
         row = np.broadcast_to(steps, (N,))
@@ -442,16 +442,16 @@ def test_trial_major_sums_match_the_1d_sum():
 
 
 def test_padded_sums_of_squares_keep_their_bits_by_dimension():
-    """Zero padding to 8 changes a sum of 4 to 7 squares, so the chunk sums
-    each dimension on its own rows; a cumulative sum is the same in any
-    layout."""
+    """Zero padding to 8 changes a sum of 4 to 7 squares, so
+    core.sums_of_squares sums each dimension on its own rows; a cumulative
+    sum is the same in any layout."""
     rng = np.random.default_rng(1)
     dims = rng.integers(2, 9, 2000)
     padded = np.zeros((2000, 8))
     for row, d in zip(padded, dims):
         row[:d] = rng.standard_normal(d)
     one_d = [np.add.reduce(row[:d] * row[:d]).hex() for row, d in zip(padded, dims)]
-    assert [x.hex() for x in certify._sums_of_squares(padded, dims)] == one_d
+    assert [x.hex() for x in core.sums_of_squares(padded, dims)] == one_d
     naive = [x.hex() for x in np.add.reduce(padded * padded, axis=1)]
     for d in range(4, 8):
         assert any(a != b for a, b, dd in zip(naive, one_d, dims) if dd == d), d
@@ -475,7 +475,7 @@ def test_gathered_squared_norms_are_the_rows_sums(N):
         row[: p.dimension] = p.x_start
     steps = np.full((N, len(instances)), 0.3)  # the schedule's steps on a unit instance
     _, pieces = solver.step_together(batch, X, steps, np.zeros(len(instances), dtype=bool), N)
-    sq = certify._sums_of_squares(batch.slopes, batch.dims)
+    sq = core.sums_of_squares(batch.slopes, batch.dims)
     for t, p in enumerate(instances):
         m, d = p.oracle.pieces.slopes.shape
         assert np.array_equal(np.sqrt(batch.dots[t, :m]), p.oracle.pieces.slope_norms)

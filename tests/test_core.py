@@ -383,6 +383,43 @@ def test_slope_norms_are_the_oracle_norms():
         assert pieces.max_slope_norm() == float(np.max(reference))
 
 
+def _hexes(a):
+    return [x.hex() for x in np.ravel(a).tolist()]
+
+
+def test_oracle_reducers_keep_the_per_row_blas_bits():
+    """core's three reducers have the bits of the per-row BLAS calls and 1-D
+    sums they stand for, on the layouts the package hands them: trial-major
+    (T, N + 1) rows up to N = 3000 and the (N + 1, dim) iterates, stacks of
+    (G, M, d) pieces with d <= 8, padded ones by dimension, and 1-D vectors.
+    dots claims the per-row ``.dot`` for contiguous rows only."""
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 8, 9, 33, 101, 1001, 3001):
+        a, b = rng.standard_normal((2, 12, n))
+        assert _hexes(core.dots(a, b)) == [x.dot(y).hex() for x, y in zip(a, b)]
+        assert float(core.dots(a[0], b[0])).hex() == a[0].dot(b[0]).hex()
+        assert _hexes(core.sums_of_squares(a)) == [np.add.reduce(x * x).hex() for x in a]
+        assert core.sums_of_squares(a[0]).hex() == np.add.reduce(a[0] * a[0]).hex()
+        for dim in (1, 3, 8, 32):
+            points, w = rng.standard_normal((n, dim)), rng.uniform(0.01, 1.0, n)
+            assert _hexes(core.matvec(points.T)(w)) == _hexes(w @ points)
+    for d in range(1, 9):
+        slopes = rng.standard_normal((10, 2 * d, d))
+        assert _hexes(core.dots(slopes, slopes)) == [r.dot(r).hex() for S in slopes for r in S]
+        x, out = rng.standard_normal(d), np.empty(2 * d)
+        for S in slopes:
+            core.matvec(S)(x, out=out)
+            assert _hexes(out) == _hexes(S @ x)
+    dims = rng.integers(2, 9, 300)
+    padded = np.zeros((300, 16, 8))
+    for rows, d in zip(padded, dims):
+        rows[:, :d] = rng.standard_normal((16, d))
+    own = [rows[:, :d].copy() for rows, d in zip(padded, dims)]
+    assert _hexes(core.dots(padded, padded, dims)) == [r.dot(r).hex() for S in own for r in S]
+    assert _hexes(core.sums_of_squares(padded, dims)) == [
+        np.add.reduce(r * r).hex() for S in own for r in S]
+
+
 def test_instance_defaults_from_pieces():
     p = instance_from_pieces(
         ABS_PIECES,

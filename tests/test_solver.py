@@ -103,6 +103,16 @@ def test_custom_schedule_and_exhaustion():
         run(p, sched, N=3)
 
 
+def test_custom_schedule_keeps_its_own_steps():
+    """A custom schedule copies its steps: writing to the caller's array
+    later changes nothing, and its rule takes an array of iterations."""
+    steps = np.array([0.2, 0.1, 0.4])
+    sched = StepSchedule.custom(steps)
+    steps[:] = 9.0
+    assert [sched.rule(k, 1.0, 1.0) for k in (1, 2, 3)] == [0.2, 0.1, 0.4]
+    assert sched.rule(np.arange(1, 4), 1.0, 1.0).tolist() == [0.2, 0.1, 0.4]
+
+
 def test_optimal_schedule_horizon_mismatch():
     p = abs_instance()
     with pytest.raises(IncompatibleLength):
